@@ -45,7 +45,8 @@ def test_bench_context_build(gg, benchmark):
 
 def test_bench_preliminary_estimator(gg_ctx, benchmark):
     def run():
-        gg_ctx.gamma = []  # drop the cache so each round measures the jobs
+        # drop both caches so each round measures the collect as well
+        gg_ctx.gamma, gg_ctx.index_arrays = [], None
         return preliminary_estimate(gg_ctx)
 
     t_hat = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -1,19 +1,3 @@
-"""Test-local tuning of the provided session-scoped SparkSession.
-
-The graphs in unit tests are tiny (tens of vertices), so the default 64
-shuffle partitions only add scheduler latency.  These are runtime-settable
-configs on the shared session — the session itself still comes from the
-root conftest fixture.
-"""
-import os
-
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-
-import pytest  # noqa: E402
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _tuned_spark(spark):
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark.conf.set("spark.sql.adaptive.coalescePartitions.parallelismFirst", "false")
-    yield spark
+"""The benchmarks tune the shared SparkSession exactly as the unit tests
+do; the fixture lives in ``tests/conftest.py``."""
+from tests.conftest import _tuned_spark  # noqa: F401  (autouse, session-scoped)

@@ -9,7 +9,7 @@ import argparse
 
 from _common import get_spark
 
-from repro.exp.harness import ALGOS, run_query_set
+from repro.exp.harness import ALGOS, TIMEOUT_S, run_query_set
 from repro.graphs import generators as G
 from repro.graphs.queries import generate_queries
 
@@ -21,7 +21,7 @@ def main() -> None:
     ap.add_argument("--k", type=int, default=4)
     ap.add_argument("--qid", type=int, default=0)
     ap.add_argument("--algo", default="PathEnum", choices=list(ALGOS))
-    ap.add_argument("--timeout", type=float, default=30.0)
+    ap.add_argument("--timeout", type=float, default=TIMEOUT_S)
     args = ap.parse_args()
 
     spark = get_spark(f"run_query-{args.graph}")

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.index import build_index_edges
 from repro.graphs.bfs import distance_table
+
+if TYPE_CHECKING:
+    from repro.core.estimator import IndexArrays
 
 
 @dataclass
@@ -36,13 +40,11 @@ class QueryContext:
     index_s: float            # wall time to materialise index edges
     barrier_s: float          # wall time to materialise barrier edges
     gamma: list[float] = field(default_factory=list)  # cached Eq.5 stats
+    index_arrays: IndexArrays | None = None  # the planner's copy of the index
 
     def unpersist(self) -> None:
         for df in (self.dist, self.index_edges, self.barrier_edges):
-            try:
-                df.unpersist()
-            except Exception:
-                pass
+            df.unpersist()
 
 
 def build_barrier_edges(edges: DataFrame, dist: DataFrame, k: int) -> DataFrame:

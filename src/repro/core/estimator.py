@@ -1,10 +1,14 @@
 """Cardinality estimation and join-order optimisation (paper §6, Alg. 5).
 
-Two estimators with different cost/accuracy trade-offs:
+Both estimators are O(k·|index|) arithmetic, so they run on the driver in
+NumPy over one collect of the per-query index (:func:`index_arrays`): the
+index edges and the distance table.  The index is small by construction
+(at most 5.9 MB at the paper's scale, Table 7), and a query launches at
+most two Spark jobs for planning whichever estimators run.
 
 * :func:`preliminary_estimate` (Eq. 5) — per-position average branching
-  factors ``gamma_j`` over the index, multiplied out on the driver.  Two
-  small aggregation jobs; used to gate the expensive path.
+  factors ``gamma_j`` over the index, multiplied out.  Cheap; used to gate
+  the full estimator.
 * :func:`full_estimate` (Eq. 6/7, Algorithm 5) — exact *walk*-count
   dynamic programming on the index: forward counts ``f_i(v)`` (walks
   s->v arriving at position i) and backward counts ``w_i(v)`` (walks
@@ -21,9 +25,58 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pyspark.sql.functions as F
 
 from repro.core.context import QueryContext
+
+
+@dataclass(frozen=True)
+class IndexArrays:
+    """The per-query index on the driver, over dense vertex ids 0..n-1.
+
+    Distances the table does not hold (beyond k hops) read ``k + 1``.
+    """
+
+    src: np.ndarray     # per index edge
+    dst: np.ndarray
+    ds_src: np.ndarray
+    dt_src: np.ndarray
+    dt_dst: np.ndarray
+    ds: np.ndarray      # per vertex
+    dt: np.ndarray
+    s: int
+    t: int
+
+
+def index_arrays(ctx: QueryContext) -> IndexArrays:
+    """Collect the index edges and the distance table once per query
+    (two Spark jobs) and cache them on the context."""
+    if ctx.index_arrays is None:
+        far = F.lit(ctx.k + 1)
+        edges = ctx.index_edges.select("src", "dst", "ds_src", "dt_src", "dt_dst").toPandas()
+        dist = ctx.dist.select(
+            "v", F.coalesce("ds", far).alias("ds"), F.coalesce("dt", far).alias("dt")
+        ).toPandas()
+        e = {c: edges[c].to_numpy(dtype=np.int64) for c in edges.columns}
+        d = {c: dist[c].to_numpy(dtype=np.int64) for c in dist.columns}
+        ids = np.unique(np.concatenate([d["v"], e["src"], e["dst"], [ctx.s, ctx.t]]))
+        ds = np.full(len(ids), ctx.k + 1, dtype=np.int64)
+        dt = ds.copy()
+        at = np.searchsorted(ids, d["v"])
+        ds[at], dt[at] = d["ds"], d["dt"]
+        ctx.index_arrays = IndexArrays(
+            src=np.searchsorted(ids, e["src"]),
+            dst=np.searchsorted(ids, e["dst"]),
+            ds_src=e["ds_src"],
+            dt_src=e["dt_src"],
+            dt_dst=e["dt_dst"],
+            ds=ds,
+            dt=dt,
+            s=int(np.searchsorted(ids, ctx.s)),
+            t=int(np.searchsorted(ids, ctx.t)),
+        )
+    return ctx.index_arrays
 
 
 def preliminary_estimate(ctx: QueryContext) -> float:
@@ -36,29 +89,14 @@ def preliminary_estimate(ctx: QueryContext) -> float:
     """
     k = ctx.k
     if not ctx.gamma:
-        spark = ctx.spark
-        pos = spark.range(0, k).select(F.col("id").cast("int").alias("j"))
-        cnt = (
-            ctx.index_edges.crossJoin(pos)
-            .where(
-                (F.col("ds_src") <= F.col("j"))
-                & (F.col("dt_src") <= k - F.col("j"))
-                & (F.col("dt_dst") <= k - F.col("j") - 1)
-            )
-            .groupBy("j")
-            .count()
+        ix = index_arrays(ctx)
+        j = np.arange(k)[:, None]
+        cnt = np.count_nonzero(
+            (ix.ds_src <= j) & (ix.dt_src <= k - j) & (ix.dt_dst <= k - j - 1), axis=1
         )
-        size = (
-            ctx.dist.crossJoin(pos)
-            .where((F.col("ds") <= F.col("j")) & (F.col("dt") <= k - F.col("j")))
-            .groupBy("j")
-            .count()
-        )
-        cnt_m = {r["j"]: r["count"] for r in cnt.collect()}
-        size_m = {r["j"]: r["count"] for r in size.collect()}
-        ctx.gamma = [
-            (cnt_m.get(j, 0) / size_m[j]) if size_m.get(j) else 0.0 for j in range(k)
-        ]
+        size = np.count_nonzero((ix.ds <= j) & (ix.dt <= k - j), axis=1)
+        gamma = np.divide(cnt, size, out=np.zeros(k), where=size > 0)
+        ctx.gamma = gamma.tolist()
     t_hat, prod = 0.0, 1.0
     for g in ctx.gamma:
         prod *= g
@@ -81,54 +119,44 @@ class FullEstimate:
 
 
 def full_estimate(ctx: QueryContext) -> FullEstimate:
-    """Run the forward/backward walk-count DP and pick the cut position."""
-    t0 = time.perf_counter()
-    spark, s, t, k = ctx.spark, ctx.s, ctx.t, ctx.k
-    idx = ctx.index_edges
+    """Run the forward/backward walk-count DP and pick the cut position.
 
-    # Backward: w_i(v) = #walks v->t of length <= k-i through the index.
-    w = spark.createDataFrame([(t, 1.0)], schema="v long, c double")
+    Position i -> i+1 follows the index edges whose ``dt_dst <= k-i-1``;
+    each step is one ``np.bincount`` over them.
+    """
+    t0 = time.perf_counter()
+    ix = index_arrays(ctx)
+    s, t, k = ix.s, ix.t, ctx.k
+    n = len(ix.ds)
+
+    def step(frm: np.ndarray, to: np.ndarray, c: np.ndarray, i: int) -> np.ndarray:
+        keep = ix.dt_dst <= k - i - 1
+        return np.bincount(to[keep], weights=c[frm[keep]], minlength=n)
+
+    # Backward: w_i(v) = #walks v->t of length <= k-i through the index;
+    # B[i] sums it over the vertices a walk from s can reach by position i.
+    w = np.zeros(n)
+    w[t] = 1.0
     b_sums: list[float] = [0.0] * (k + 1)
-    ds_of = ctx.dist.select("v", "ds")
     for i in range(k, -1, -1):
         if i < k:
-            contrib = (
-                idx.where(F.col("dt_dst") <= k - i - 1)
-                .join(w.withColumnRenamed("v", "dst"), "dst")
-                .groupBy(F.col("src").alias("v"))
-                .agg(F.sum("c").alias("c"))
-            )
-            w = contrib.unionByName(
-                spark.createDataFrame([(t, 1.0)], schema="v long, c double")
-            ).localCheckpoint(eager=True)
-        row = (
-            w.join(ds_of, "v").where(F.col("ds") <= i).agg(F.sum("c").alias("b")).collect()[0]
-        )
-        b_sums[i] = float(row["b"] or 0.0)
+            w = step(ix.dst, ix.src, w, i)
+            w[t] += 1.0
+        b_sums[i] = float(w[ix.ds <= i].sum())
 
     # Forward: f_i(v) = #walks s->v arriving exactly at position i (t stops).
-    f = spark.createDataFrame([(s, 1.0)], schema="v long, c double")
+    f = np.zeros(n)
+    f[s] = 1.0
     ended: list[float] = [0.0] * (k + 1)
     a_sums: list[float] = [0.0] * (k + 1)
     a_sums[0] = 1.0  # Q[0:0] is the single tuple (s)
     cum_ended = 0.0
     for i in range(1, k + 1):
-        f = (
-            idx.where(F.col("dt_dst") <= k - i)
-            .join(f.withColumnRenamed("v", "src"), "src")
-            .groupBy(F.col("dst").alias("v"))
-            .agg(F.sum("c").alias("c"))
-            .localCheckpoint(eager=True)
-        )
-        row = f.agg(
-            F.sum("c").alias("total"),
-            F.sum(F.when(F.col("v") == t, F.col("c"))).alias("at_t"),
-        ).collect()[0]
-        total = float(row["total"] or 0.0)
-        ended[i] = float(row["at_t"] or 0.0)
+        f = step(ix.src, ix.dst, f, i - 1)
+        ended[i] = float(f[t])
         cum_ended += ended[i]
-        a_sums[i] = (total - ended[i]) + cum_ended
-        f = f.where(F.col("v") != t)
+        a_sums[i] = (float(f.sum()) - ended[i]) + cum_ended
+        f[t] = 0.0
 
     walks = cum_ended
     i_star = min(range(k + 1), key=lambda i: a_sums[i] + b_sums[i])

@@ -6,11 +6,14 @@ optimisation time would dominate short queries.  (2) Otherwise run the
 full-fledged DP, compare the Eq. 1 costs of the left-deep plan (T_DFS)
 and the bushy plan cut at i* (T_JOIN), and execute the cheaper one.
 
-tau follows the paper's calibration procedure ("test tau from 10, 100, …
-until finding tau results takes longer than join-plan optimisation"):
-on this substrate a full optimisation costs seconds of Spark jobs while
-enumeration streams ~1e5–1e6 rows/s, so tau = 1e6 (the paper's C++
-substrate lands at 1e5 the same way).
+tau = 1e6 came from the paper's calibration procedure (§3.2: "test tau
+from 10, 100, … until finding tau results takes longer than join-plan
+optimisation") when the full estimator ran as Spark jobs costing seconds
+and enumeration streamed ~1e5–1e6 rows/s (the paper's C++ substrate lands
+at 1e5 the same way).  Both estimators now run on the driver over one
+collect of the index (at most two Spark jobs per query) and tau is kept
+unchanged; re-deriving it with the §3.2 procedure for the cheaper
+optimiser is an open item in ROADMAP.md.
 """
 from __future__ import annotations
 

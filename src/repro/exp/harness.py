@@ -29,6 +29,7 @@ from repro.core.optimizer import DEFAULT_TAU, path_enum
 from repro.graphs.queries import Query
 
 ALGOS = ("BC-DFS", "BC-JOIN", "IDX-DFS", "IDX-JOIN", "PathEnum")
+TIMEOUT_S = 30.0  # per-query time limit (the paper's 120 s, scaled; DESIGN.md §4)
 DFS_ALGOS = ("BC-DFS", "IDX-DFS")  # the ones with a meaningful response time
 
 
@@ -68,7 +69,7 @@ def run_query_set(
     queries: list[Query],
     algos: tuple[str, ...] = ALGOS,
     *,
-    timeout_s: float = 15.0,
+    timeout_s: float = TIMEOUT_S,
     row_cap: int = 2_000_000,
     response_bar: int = 100,
     tau: float = DEFAULT_TAU,

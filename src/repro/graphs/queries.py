@@ -8,8 +8,8 @@ s,t in V' — the hard one, since hub pairs have the most paths.
 
 We reproduce the generator exactly (degree split, settings, distance
 guarantee, uniform sampling, deterministic seed) but emit fewer queries
-per set — at reproduction scale the arithmetic means stabilise with
-5–10 queries (DESIGN.md §4).
+per set — the experiments run 2 queries per set (``N_QUERIES`` in
+``repro.exp.experiments``; DESIGN.md §4).
 """
 from __future__ import annotations
 

@@ -3,6 +3,8 @@ running example, and a memoised QueryContext cache (contexts are pure
 functions of (edges, s, t, k), so parametrised tests reuse them)."""
 from __future__ import annotations
 
+import uuid
+
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -48,6 +50,15 @@ def random_graph(n: int, avg_deg: float, seed: int, kind: str = "powerlaw") -> p
     return generators.uniform_graph_pdf(n=n, avg_deg=avg_deg, seed=seed)
 
 
+def random_query(n: int, avg_deg: float, seed: int) -> tuple[list[tuple[int, int]], int, int]:
+    """A power-law test graph with s = its first source and t = the first
+    target from the middle of the sorted edge list on that is not s."""
+    pdf = random_graph(n, avg_deg, seed)
+    s = int(pdf.src.iloc[0])
+    t = next(int(d) for d in pdf.dst.iloc[len(pdf) // 2 :] if d != s)
+    return list(pdf.itertuples(index=False, name=None)), s, t
+
+
 def py_bfs(
     edges: list[tuple[int, int]],
     root: int,
@@ -89,3 +100,21 @@ def cached_ctx(
     if key not in _CTX_CACHE:
         _CTX_CACHE[key] = build_context(spark, edges_df(spark, edges), s, t, k)
     return _CTX_CACHE[key]
+
+
+def jobs_launched(spark: SparkSession, fn) -> int:
+    """Number of Spark jobs ``fn()`` launches, counted with a job tag.
+
+    The status store is fed by the listener bus, so the bus is drained
+    before the tag's jobs are read.
+    """
+    sc = spark.sparkContext
+    tag = f"jobs-launched-{uuid.uuid4().hex}"
+    sc.addJobTag(tag)
+    try:
+        fn()
+    finally:
+        sc.removeJobTag(tag)
+    jsc = sc._jsc.sc()
+    jsc.listenerBus().waitUntilEmpty()
+    return len(jsc.statusTracker().getJobIdsForTag(tag))

@@ -14,7 +14,7 @@ from tests.helpers import (
     PAPER_EDGES,
     cached_ctx,
     edges_pdf,
-    random_graph,
+    random_query,
 )
 
 CASES = [
@@ -28,16 +28,7 @@ CASES = [
 ]
 
 
-def _rand_case(seed: int, n=35, deg=2.5, k=4):
-    pdf = random_graph(n, deg, seed)
-    edges = list(pdf.itertuples(index=False, name=None))
-    s, t = int(pdf.src.iloc[0]), int(pdf.dst.iloc[len(pdf) // 2])
-    return edges, s, t, k
-
-
-RAND_CASES = [
-    (f"rand{seed}", *_rand_case(seed)) for seed in range(6) if _rand_case(seed)[1] != _rand_case(seed)[2]
-]
+RAND_CASES = [(f"rand{seed}", *random_query(35, 2.5, seed), 4) for seed in range(6)]
 ALL_CASES = CASES + RAND_CASES
 
 

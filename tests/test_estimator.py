@@ -7,9 +7,12 @@ is exact when delta_P ~= delta_W and optimistic otherwise.
 """
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import pathoracle as po
+from repro.core.context import build_context
 from repro.core.estimator import full_estimate, preliminary_estimate
 from tests.helpers import (
     CYCLE6,
@@ -17,8 +20,10 @@ from tests.helpers import (
     LINE,
     PAPER_EDGES,
     cached_ctx,
+    edges_df,
+    jobs_launched,
     py_bfs,
-    random_graph,
+    random_query,
 )
 
 CASES = [
@@ -27,12 +32,7 @@ CASES = [
     ("line", LINE, 0, 4, 4),
     ("cycle", CYCLE6, 0, 3, 6),
 ]
-for seed in range(4):
-    pdf = random_graph(30, 2.5, seed)
-    e = list(pdf.itertuples(index=False, name=None))
-    s_, t_ = int(pdf.src.iloc[0]), int(pdf.dst.iloc[len(pdf) // 2])
-    if s_ != t_:
-        CASES.append((f"rand{seed}", e, s_, t_, 4))
+CASES += [(f"rand{seed}", *random_query(30, 2.5, seed), 4) for seed in range(4)]
 
 
 @pytest.mark.parametrize("name,edges,s,t,k", CASES, ids=[c[0] for c in CASES])
@@ -64,16 +64,15 @@ def test_a0_is_one(spark):
     assert est.a[0] == 1.0
 
 
-def test_a_matches_padded_prefix_counts(spark):
+@pytest.mark.parametrize("name,edges,s,t,k", CASES, ids=[c[0] for c in CASES])
+def test_a_matches_padded_prefix_counts(spark, name, edges, s, t, k):
     """A[i] equals the number of (t,t)-padded prefixes of length i: live
     partials at position i plus all walks already finished."""
-    edges, s, t, k = PAPER_EDGES, 0, 1, 4
     est = full_estimate(cached_ctx(spark, edges, s, t, k))
     walks = po.python_walks(edges, s, t, k)
     # live partials at position i = distinct walk prefixes of length i that
     # have not yet hit t... enumerate via the relaxed search directly:
     adj: dict[int, list[int]] = {}
-    ds = py_bfs(edges, s, excluded=t, max_depth=k)
     dt = py_bfs(edges, t, excluded=s, reverse=True, max_depth=k)
     for u, v in edges:
         adj.setdefault(u, []).append(v)
@@ -92,6 +91,28 @@ def test_a_matches_padded_prefix_counts(spark):
         n_live = sum(1 for m in live[i] if m[-1] != t)
         n_done = sum(1 for w in walks if w.count("-") <= i)
         assert est.a[i] == pytest.approx(n_live + n_done), f"A[{i}]"
+
+
+@pytest.mark.parametrize("name,edges,s,t,k", CASES, ids=[c[0] for c in CASES])
+def test_b_matches_suffix_walk_counts(spark, name, edges, s, t, k):
+    """B[i] equals the number of walks to t within budget k-i that start at
+    a vertex s reaches by position i, never enter s and stop at t."""
+    est = full_estimate(cached_ctx(spark, edges, s, t, k))
+    ds = py_bfs(edges, s, excluded=t, max_depth=k)
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        if u != t and v != s:
+            adj.setdefault(u, []).append(v)
+
+    @functools.cache
+    def to_t(v: int, budget: int) -> int:
+        if v == t:
+            return 1
+        return sum(to_t(u, budget - 1) for u in adj.get(v, ())) if budget else 0
+
+    for i in range(k + 1):
+        want = sum(to_t(v, k - i) for v, d in ds.items() if d <= i)
+        assert est.b[i] == pytest.approx(want), f"B[{i}]"
 
 
 def test_cut_minimises_a_plus_b(spark):
@@ -158,3 +179,17 @@ def test_no_result_graph(spark):
     est = full_estimate(cached_ctx(spark, LINE, 4, 0, 4))
     assert est.walks == 0.0
     assert est.t_dfs == pytest.approx(sum(est.a[1:]))
+
+
+def test_planning_collects_the_index_once(spark):
+    """Both estimators share one collect of the index: at most two Spark
+    jobs for a fresh context, none once it is cached."""
+    ctx = build_context(spark, edges_df(spark, PAPER_EDGES), 0, 1, 4)
+
+    def plan():
+        preliminary_estimate(ctx)
+        full_estimate(ctx)
+
+    assert jobs_launched(spark, plan) <= 2
+    assert jobs_launched(spark, plan) == 0
+    ctx.unpersist()

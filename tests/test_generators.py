@@ -1,6 +1,11 @@
 """Unit tests for the synthetic graph generators (Table 2 substrate)."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
@@ -19,6 +24,26 @@ def test_uniform_deterministic(seed):
     a = G.uniform_graph_pdf(n=200, avg_deg=5, seed=seed)
     b = G.uniform_graph_pdf(n=200, avg_deg=5, seed=seed)
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_powerlaw_identical_across_processes():
+    """Python salts str hashes per process; the graph must not depend on it."""
+    code = (
+        "from repro.graphs.generators import powerlaw_graph_pdf; import pandas as pd; "
+        "print(pd.util.hash_pandas_object(powerlaw_graph_pdf(n=300, avg_deg=5, seed=3)).sum())"
+    )
+    src = str(Path(G.__file__).resolve().parents[2])
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for hash_seed in ("1", "2")
+    }
+    assert len(digests) == 1
 
 
 def test_different_seeds_differ():
