@@ -1,7 +1,10 @@
 """Run one HcPE query with a chosen algorithm.
 
-    spark-submit jobs/run_query.py --graph ep_s --setting hh --k 4 \
+    spark-submit jobs/run_query.py --graph ep_s --setting hh --k 5 \
         --algo PathEnum [--qid 0]
+
+``--k`` defaults to ``K_DEFAULT`` (5) and ``--timeout`` to ``TIMEOUT_S``
+(30 s), the bench-scale defaults of ``repro.exp.experiments``.
 """
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import argparse
 
 from _common import get_spark
 
-from repro.exp.harness import ALGOS, TIMEOUT_S, run_query_set
+from repro.exp.experiments import ALGOS, K_DEFAULT, TIMEOUT_S, run_query_set
 from repro.graphs import generators as G
 from repro.graphs.queries import generate_queries
 
@@ -18,7 +21,7 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--graph", default="gg_s", choices=[c.name for c in G.SUITE])
     ap.add_argument("--setting", default="hh")
-    ap.add_argument("--k", type=int, default=4)
+    ap.add_argument("--k", type=int, default=K_DEFAULT)
     ap.add_argument("--qid", type=int, default=0)
     ap.add_argument("--algo", default="PathEnum", choices=list(ALGOS))
     ap.add_argument("--timeout", type=float, default=TIMEOUT_S)

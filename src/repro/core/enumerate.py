@@ -23,7 +23,7 @@ from pyspark.sql import DataFrame
 
 from repro.core.constraints import NO_CONSTRAINTS, Constraints
 from repro.core.context import QueryContext
-from repro.core.expand import CELL_BYTES, ExpandStats, empty_results, expand, make_frontier
+from repro.core.expand import CELL_BYTES, SPARK_ERRORS, TimeLimit, expand, make_frontier
 
 
 @dataclass
@@ -85,22 +85,22 @@ def _dfs(
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
     t0 = time.perf_counter()
-    frontier = make_frontier(ctx.spark, [ctx.s], constraints)
-    results, _, stats = expand(
-        ctx.spark,
-        frontier,
-        edges,
-        t=ctx.t,
-        k=ctx.k,
-        start_pos=0,
-        end_pos=ctx.k,
-        budget_col=budget_col,
-        pre=pre,
-        timeout_s=timeout_s,
-        row_cap=row_cap,
-        response_bar=response_bar,
-        constraints=constraints,
-    )
+    with TimeLimit(ctx.spark.sparkContext, timeout_s) as limit:
+        results, _, stats = expand(
+            ctx.spark,
+            make_frontier(ctx.spark, [ctx.s], constraints),
+            edges,
+            t=ctx.t,
+            k=ctx.k,
+            start_pos=0,
+            end_pos=ctx.k,
+            budget_col=budget_col,
+            pre=pre,
+            limit=limit,
+            row_cap=row_cap,
+            response_bar=response_bar,
+            constraints=constraints,
+        )
     n = stats.total_emitted
     return EnumResult(
         method=method,
@@ -161,79 +161,105 @@ def _join_enum(
         cut = 0
     cut = max(0, min(cut, k - 1))
     acc_c = constraints.accumulative
-
-    # Phase 1: prefix Q[0:cut] — paths of length <= cut surface as results.
-    frontier = make_frontier(spark, [s], constraints)
-    early, ra, st_a = expand(
-        spark,
-        frontier,
-        edges,
-        t=t,
-        k=k,
-        start_pos=0,
-        end_pos=cut,
-        budget_col=budget_col,
-        pre=pre,
-        timeout_s=timeout_s,
-        row_cap=row_cap,
-        constraints=constraints,
-    )
-    ra = ra.localCheckpoint(eager=True)
-    n_ra = ra.count()
-    n_early = st_a.total_emitted
-    if st_a.timed_out or n_ra == 0:
-        enum_s = time.perf_counter() - t0
-        return EnumResult(
-            method=method,
-            paths=early,
-            n_results=n_early,
-            enum_s=enum_s,
-            timed_out=st_a.timed_out,
-            response_s=None if st_a.timed_out else enum_s,
-            edges_accessed=st_a.total_accessed,
-            partial_cells=st_a.max_frontier_cells,
-            detail={"cut": cut, "stats_a": st_a, "n_ra": n_ra},
+    # One time limit covers the prefix, the suffix and the final join.
+    with TimeLimit(spark.sparkContext, timeout_s) as limit:
+        # Phase 1: prefix Q[0:cut] — paths of length <= cut surface as results.
+        early, ra, st_a = expand(
+            spark,
+            make_frontier(spark, [s], constraints),
+            edges,
+            t=t,
+            k=k,
+            start_pos=0,
+            end_pos=cut,
+            budget_col=budget_col,
+            pre=pre,
+            limit=limit,
+            row_cap=row_cap,
+            constraints=constraints,
         )
-
-    # Phase 2: suffix Q[cut:k] from each distinct cut vertex (Alg 6 line 3-5).
-    cut_vs = ra.select(F.col("last")).distinct()
-    sfx_frontier = cut_vs.select(F.array(F.col("last")).alias("path"), F.col("last"))
-    if acc_c:
-        sfx_frontier = sfx_frontier.withColumn("acc", F.lit(0.0))
-    remaining = None if timeout_s is None else max(0.1, timeout_s - (time.perf_counter() - t0))
-    sfx, _, st_b = expand(
-        spark,
-        sfx_frontier,
-        edges,
-        t=t,
-        k=k,
-        start_pos=cut,
-        end_pos=k,
-        budget_col=budget_col,
-        pre=pre,
-        forbid=s,
-        timeout_s=remaining,
-        row_cap=row_cap,
-        # suffix-local accumulative state: emit-filter only after the join,
-        # on the combined value — so no emit/prune predicates here.
-        constraints=Constraints(accumulative=None) if acc_c is None else Constraints(
-            accumulative=type(acc_c)(
-                emit_pred="acc IS NOT NULL", weight_col=acc_c.weight_col, init=0.0
+        # |R_a| is the last depth's frontier; before depth 1 it is {s}.
+        n_ra = st_a.depth_stats[-1].frontier if st_a.depth_stats else 1
+        n_early = st_a.total_emitted
+        if st_a.timed_out or n_ra == 0:
+            enum_s = time.perf_counter() - t0
+            return EnumResult(
+                method=method,
+                paths=early,
+                n_results=n_early,
+                enum_s=enum_s,
+                timed_out=st_a.timed_out,
+                response_s=None if st_a.timed_out else enum_s,
+                edges_accessed=st_a.total_accessed,
+                partial_cells=st_a.max_frontier_cells,
+                detail={"cut": cut, "stats_a": st_a, "n_ra": n_ra},
             )
-        ),
-    )
-    sfx = sfx.localCheckpoint(eager=True)
-    n_rb = sfx.count()
 
-    # Guard: the final join is a single uninterruptible Spark job, so we
-    # refuse to launch it when the time budget is spent or the crude
-    # per-key product estimate exceeds the cap — the dataflow analogue of
-    # the paper's 120 s termination (and its BC-JOIN OOM at ep/k=8).
-    n_keys = max(1, ra.select("last").distinct().count())
-    est_out = n_ra * n_rb / n_keys
-    out_of_time = timeout_s is not None and time.perf_counter() - t0 > timeout_s
-    if st_b.timed_out or out_of_time or (row_cap is not None and est_out > 20 * row_cap):
-        enum_s = time.perf_counter() - t0
+        # Phase 2: suffix Q[cut:k] from each distinct cut vertex (Alg 6 l.3-5).
+        cut_vs = ra.select(F.col("last")).distinct()
+        sfx_frontier = cut_vs.select(F.array(F.col("last")).alias("path"), F.col("last"))
+        if acc_c:
+            sfx_frontier = sfx_frontier.withColumn("acc", F.lit(0.0))
+        sfx, _, st_b = expand(
+            spark,
+            sfx_frontier,
+            edges,
+            t=t,
+            k=k,
+            start_pos=cut,
+            end_pos=k,
+            budget_col=budget_col,
+            pre=pre,
+            forbid=s,
+            limit=limit,
+            row_cap=row_cap,
+            # suffix-local accumulative state: emit-filter only after the join,
+            # on the combined value — so no emit/prune predicates here.
+            constraints=Constraints(accumulative=None) if acc_c is None else Constraints(
+                accumulative=type(acc_c)(
+                    emit_pred="acc IS NOT NULL", weight_col=acc_c.weight_col, init=0.0
+                )
+            ),
+        )
+        n_rb = st_b.total_emitted
+
+        # Phase 3: hash join on the cut vertex + simple-path filter (Alg 6 l.6-8).
+        pre_cols = [ra["path"].alias("a_path"), ra["last"].alias("a_last")]
+        if acc_c:
+            pre_cols.append(ra["acc"].alias("a_acc"))
+        a = ra.select(*pre_cols)
+        sfx_cols = [
+            sfx["path"].alias("b_path"),
+            F.element_at(sfx["path"], 1).alias("b_first"),
+        ]
+        if acc_c:
+            sfx_cols.append(sfx["acc"].alias("b_acc"))
+        b = sfx.select(*sfx_cols)
+        tail = F.slice(F.col("b_path"), 2, F.size(F.col("b_path")) - 1)
+        joined = (
+            a.join(b, F.col("a_last") == F.col("b_first"), "inner")
+            .where(~F.arrays_overlap(F.col("a_path"), tail))
+            .select(
+                F.concat(F.col("a_path"), tail).alias("path"),
+                *([(F.col("a_acc") + F.col("b_acc")).alias("acc")] if acc_c else []),
+            )
+        )
+        if acc_c:
+            joined = joined.where(acc_c.emit_pred)
+        timed_out = st_b.timed_out or limit.expired
+        if not timed_out:
+            try:
+                joined = joined.localCheckpoint(eager=True)
+                n_joined = joined.count()
+            except SPARK_ERRORS:
+                if not limit.expired:
+                    raise
+                timed_out = True  # the join's job was cancelled
+
+    enum_s = time.perf_counter() - t0
+    edges_accessed = st_a.total_accessed + st_b.total_accessed
+    partial_cells = n_ra * (cut + 1) + n_rb * (k - cut + 1)
+    if timed_out:
         return EnumResult(
             method=method,
             paths=early,
@@ -241,58 +267,26 @@ def _join_enum(
             enum_s=enum_s,
             timed_out=True,
             response_s=None,
-            edges_accessed=st_a.total_accessed + st_b.total_accessed,
-            partial_cells=n_ra * (cut + 1) + n_rb * (k - cut + 1),
+            edges_accessed=edges_accessed,
+            partial_cells=partial_cells,
             detail={"cut": cut, "n_ra": n_ra, "n_rb": n_rb, "join_skipped": True,
                     "stats_a": st_a, "stats_b": st_b},
         )
 
-    # Phase 3: hash join on the cut vertex + simple-path filter (Alg 6 l.6-8).
-    pre_cols = [ra["path"].alias("a_path"), ra["last"].alias("a_last")]
-    if acc_c:
-        pre_cols.append(ra["acc"].alias("a_acc"))
-    a = ra.select(*pre_cols)
-    sfx_cols = [
-        sfx["path"].alias("b_path"),
-        F.element_at(sfx["path"], 1).alias("b_first"),
-    ]
-    if acc_c:
-        sfx_cols.append(sfx["acc"].alias("b_acc"))
-    b = sfx.select(*sfx_cols)
-    tail = F.slice(F.col("b_path"), 2, F.size(F.col("b_path")) - 1)
-    joined = (
-        a.join(b, F.col("a_last") == F.col("b_first"), "inner")
-        .where(~F.arrays_overlap(F.col("a_path"), tail))
-        .select(
-            F.concat(F.col("a_path"), tail).alias("path"),
-            *([(F.col("a_acc") + F.col("b_acc")).alias("acc")] if acc_c else []),
-        )
-    )
-    if acc_c:
-        joined = joined.where(acc_c.emit_pred)
-    joined = joined.localCheckpoint(eager=True)
-    n_joined = joined.count()
-
     paths = early.unionByName(joined) if n_early else joined
     if n_early and not n_joined:
         paths = early
-    enum_s = time.perf_counter() - t0
-    timed_out = st_a.timed_out or st_b.timed_out
-    partial_cells = (
-        n_ra * (cut + 1)
-        + n_rb * (k - cut + 1)
-        + max(st_a.max_frontier_cells, st_b.max_frontier_cells)
-    )
     return EnumResult(
         method=method,
         paths=paths,
         n_results=n_early + n_joined,
         enum_s=enum_s,
-        timed_out=timed_out,
+        timed_out=False,
         # join methods have no early results: first-X time = total time.
-        response_s=None if timed_out else enum_s,
-        edges_accessed=st_a.total_accessed + st_b.total_accessed,
-        partial_cells=partial_cells,
+        response_s=enum_s,
+        edges_accessed=edges_accessed,
+        partial_cells=partial_cells
+        + max(st_a.max_frontier_cells, st_b.max_frontier_cells),
         detail={
             "cut": cut,
             "n_ra": n_ra,

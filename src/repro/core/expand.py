@@ -22,14 +22,26 @@ Each level materialises exactly one eagerly localCheckpoint-ed candidate
 frame classified by a ``_cls`` column (emit / continue / pruned), so per
 level there is one Spark job plus one tiny count — this keeps scheduler
 latency bounded while still giving the per-depth counters the paper's
-timeout, response-time and Figure-6/Table-7 metrics need.
+response-time and Figure-6/Table-7 metrics need.
+
+**Time limit.**  An enumeration runs inside one :class:`TimeLimit`: its
+Spark jobs carry a job tag of their own, and once the limit has passed a
+watcher thread cancels that tag every 0.1 s until the scope closes (a
+single cancel would miss a job launched after it).  ``expand`` stops
+before a depth once the limit has passed, and when a depth's job is
+cancelled it returns the depths that completed with ``timed_out`` set —
+the paper's §7.1 semantics: stop at the limit, report what was found.
 """
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from dataclasses import dataclass, field
 
 import pyspark.sql.functions as F
+from py4j.protocol import Py4JJavaError
+from pyspark.errors.exceptions.captured import CapturedException
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.constraints import NO_CONSTRAINTS, Constraints
@@ -38,6 +50,64 @@ from repro.core.constraints import NO_CONSTRAINTS, Constraints
 CELL_BYTES = 8
 
 _PRUNED, _EMIT, _CONTINUE = 0, 1, 2
+
+#: how often an expired limit re-cancels its tag.
+_RECANCEL_S = 0.1
+_INTERRUPT_KEY = "spark.job.interruptOnCancel"
+_tag_ids = itertools.count()
+#: what a Spark action raises, a cancelled job included.
+SPARK_ERRORS = (Py4JJavaError, CapturedException)
+
+
+class TimeLimit:
+    """Wall-clock limit on the Spark jobs started inside a ``with`` block.
+
+    ``timeout_s=None`` means no limit: no tag, no thread.  Otherwise the
+    block's jobs carry a unique tag with interrupt-on-cancel, and from
+    ``timeout_s`` after entry on, a watcher cancels the tag every
+    ``_RECANCEL_S`` until exit, so a job launched after the limit is
+    stopped as well.  Exit removes the tag and restores the thread's
+    interrupt-on-cancel setting.
+    """
+
+    def __init__(self, sc, timeout_s: float | None) -> None:
+        self._sc = sc
+        self.timeout_s = timeout_s
+        self.tag = f"repro-time-limit-{next(_tag_ids)}"
+        self._done = threading.Event()
+        self._fired = False
+
+    def __enter__(self) -> TimeLimit:
+        self._t0 = time.perf_counter()
+        if self.timeout_s is not None:
+            self._interrupt = self._sc.getLocalProperty(_INTERRUPT_KEY)
+            self._sc.addJobTag(self.tag)
+            self._sc.setInterruptOnCancel(True)
+            self._watcher = threading.Thread(target=self._watch, daemon=True)
+            self._watcher.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.timeout_s is not None:
+            self._done.set()
+            self._watcher.join()
+            self._sc.removeJobTag(self.tag)
+            self._sc.setLocalProperty(_INTERRUPT_KEY, self._interrupt)
+
+    @property
+    def expired(self) -> bool:
+        return self.timeout_s is not None and (
+            self._fired or time.perf_counter() - self._t0 >= self.timeout_s
+        )
+
+    def _watch(self) -> None:
+        if self._done.wait(max(0.0, self.timeout_s)):
+            return
+        self._fired = True
+        while True:
+            self._sc.cancelJobsWithTag(self.tag)
+            if self._done.wait(_RECANCEL_S):
+                return
 
 
 @dataclass
@@ -106,7 +176,7 @@ def expand(
     pre: bool = True,
     dedupe: bool = True,
     forbid: int | None = None,
-    timeout_s: float | None = None,
+    limit: TimeLimit | None = None,
     row_cap: int | None = None,
     response_bar: int | None = None,
     constraints: Constraints = NO_CONSTRAINTS,
@@ -116,8 +186,9 @@ def expand(
     Returns ``(results, final_frontier, stats)``: ``results`` are paths
     that reached ``t`` (with constraint columns if any), ``final_frontier``
     the un-emitted partial results at ``end_pos`` (the join methods' R_a).
-    ``timeout_s``/``row_cap`` convert runaway queries into a flagged
-    partial answer, mirroring the paper's 120 s limit semantics.
+    A passed ``limit`` (or a cancelled depth under it) and ``row_cap``
+    turn a runaway query into a flagged partial answer: the results and
+    frontier of the depths that completed, with ``stats.timed_out`` set.
     """
     t_lit = F.lit(int(t))
     stats = ExpandStats()
@@ -131,31 +202,9 @@ def expand(
     extra_cols = constraints.frontier_cols
 
     for pos in range(start_pos + 1, end_pos + 1):
-        elapsed = time.perf_counter() - t_start
-        if timeout_s is not None and elapsed > timeout_s:
+        if limit is not None and limit.expired:
             stats.timed_out = True
             break
-        # Predictive termination: one depth is a single uninterruptible
-        # Spark job, so a query that would blow the limit inside the next
-        # join must be stopped *before* launching it — the dataflow
-        # analogue of the paper's kill at the 120 s mark (results found so
-        # far are reported).  Next-depth candidates ~ last candidates x
-        # frontier growth; the per-row rate is taken from measurement only
-        # when the last depth was large enough for row work to dominate
-        # the ~0.5 s fixed job cost (otherwise an optimistic floor is
-        # used, so small fast levels are never extrapolated into a kill).
-        if timeout_s is not None and len(stats.depth_stats) >= 2:
-            last, prev = stats.depth_stats[-1], stats.depth_stats[-2]
-            growth = last.frontier / max(1, prev.frontier)
-            predicted_rows = last.accessed * max(1.0, growth)
-            rate = (
-                last.elapsed_s / last.accessed
-                if last.accessed > 1_000_000
-                else 2e-7  # ~5M rows/s optimistic floor
-            )
-            if elapsed + 0.5 + predicted_rows * rate > timeout_s * 1.2:
-                stats.timed_out = True
-                break
         t_depth = time.perf_counter()
         budget = k - pos
 
@@ -204,18 +253,20 @@ def expand(
         )
         if acc_c and acc_c.prune_pred:
             cont_ok = cont_ok & F.expr(acc_c.prune_pred)
-        cand = (
-            cand.withColumn(
-                "_cls",
-                F.when(emit_ok, F.lit(_EMIT))
-                .when(cont_ok, F.lit(_CONTINUE))
-                .otherwise(F.lit(_PRUNED)),
-            )
-            .drop("_is_t", "_valid", "_fresh", "_allowed")
-            .localCheckpoint(eager=True)
-        )
-
-        cnts = {r["_cls"]: r["count"] for r in cand.groupBy("_cls").count().collect()}
+        cand = cand.withColumn(
+            "_cls",
+            F.when(emit_ok, F.lit(_EMIT))
+            .when(cont_ok, F.lit(_CONTINUE))
+            .otherwise(F.lit(_PRUNED)),
+        ).drop("_is_t", "_valid", "_fresh", "_allowed")
+        try:
+            cand = cand.localCheckpoint(eager=True)
+            cnts = {r["_cls"]: r["count"] for r in cand.groupBy("_cls").count().collect()}
+        except SPARK_ERRORS:
+            if limit is None or not limit.expired:
+                raise
+            stats.timed_out = True  # this depth's job was cancelled
+            break
         accessed = sum(cnts.values())
         n_emit = cnts.get(_EMIT, 0)
         n_frontier = cnts.get(_CONTINUE, 0)

@@ -49,46 +49,34 @@ def path_enum(
     response_bar: int | None = None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> tuple[EnumResult, Decision]:
-    """Full PathEnum: estimate, choose a plan, enumerate."""
+    """Full PathEnum: estimate, choose a plan, enumerate.
+
+    ``timeout_s`` covers planning and enumeration: the enumerator gets
+    what is left of it after the estimators.
+    """
     t0 = time.perf_counter()
     t_hat = preliminary_estimate(ctx)
+    est, method, cut = None, "IDX-DFS", None
     # Automaton constraints are DFS-only (Appendix E): the DFS kills
     # invalid label sequences early, the join cannot.
-    if t_hat <= tau or constraints.automaton is not None:
-        decision = Decision(
-            t_hat=t_hat,
-            used_full=False,
-            method="IDX-DFS",
-            cut=None,
-            estimate=None,
-            opt_s=time.perf_counter() - t0,
-        )
-        res = idx_dfs(
-            ctx,
-            timeout_s=timeout_s,
-            row_cap=row_cap,
-            response_bar=response_bar,
-            constraints=constraints,
-        )
-        return res, decision
-
-    est = full_estimate(ctx)
-    if est.t_dfs < est.t_join:
-        method, cut = "IDX-DFS", None
-    else:
-        method, cut = "IDX-JOIN", max(1, min(est.i_star, ctx.k - 1))
+    if t_hat > tau and constraints.automaton is None:
+        est = full_estimate(ctx)
+        if est.t_dfs >= est.t_join:
+            method, cut = "IDX-JOIN", max(1, min(est.i_star, ctx.k - 1))
+    opt_s = time.perf_counter() - t0
     decision = Decision(
         t_hat=t_hat,
-        used_full=True,
+        used_full=est is not None,
         method=method,
         cut=cut,
         estimate=est,
-        opt_s=time.perf_counter() - t0,
+        opt_s=opt_s,
     )
+    remaining = None if timeout_s is None else timeout_s - opt_s
     if method == "IDX-DFS":
         res = idx_dfs(
             ctx,
-            timeout_s=timeout_s,
+            timeout_s=remaining,
             row_cap=row_cap,
             response_bar=response_bar,
             constraints=constraints,
@@ -97,7 +85,7 @@ def path_enum(
         res = idx_join(
             ctx,
             cut,
-            timeout_s=timeout_s,
+            timeout_s=remaining,
             row_cap=row_cap,
             constraints=constraints,
         )

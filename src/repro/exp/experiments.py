@@ -15,7 +15,14 @@ from pathlib import Path
 from pyspark.sql import SparkSession
 
 from repro.exp import tables as T
-from repro.exp.harness import ALGOS, TIMEOUT_S, QueryStats, run_query_set
+from repro.exp.harness import (  # noqa: F401  (RESPONSE_BAR, ROW_CAP re-exported)
+    ALGOS,
+    RESPONSE_BAR,
+    ROW_CAP,
+    TIMEOUT_S,
+    QueryStats,
+    run_query_set,
+)
 from repro.graphs import generators as G
 from repro.graphs.queries import generate_queries
 
@@ -25,12 +32,10 @@ RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
 #: where intermediate-tuple work dominates Spark's fixed per-job overhead,
 #: so the wall-time contrast between BC-* and IDX-* becomes visible (at
 #: k=4 every method finishes within seconds of preprocessing time).  The
-#: time limit TIMEOUT_S is the harness's default.
+#: time limit TIMEOUT_S, ROW_CAP and RESPONSE_BAR are the harness's defaults.
 T_SHORT_S = TIMEOUT_S / 2
 K_DEFAULT = 5
 N_QUERIES = 2
-RESPONSE_BAR = 100
-ROW_CAP = 2_000_000
 SWEEP_GRAPHS = ("ep_s", "gg_s")
 SWEEP_KS = (2, 3, 4, 5)
 
@@ -94,8 +99,6 @@ def overall_experiment(spark: SparkSession, cfg: OverallConfig | None = None) ->
             queries,
             cfg.algos,
             timeout_s=cfg.timeout_s,
-            row_cap=ROW_CAP,
-            response_bar=RESPONSE_BAR,
         )
         edges.unpersist()
     return stats
@@ -137,8 +140,6 @@ def ksweep_experiment(spark: SparkSession, cfg: SweepConfig | None = None) -> li
                 queries,
                 cfg.algos,
                 timeout_s=cfg.timeout_s,
-                row_cap=ROW_CAP,
-                response_bar=RESPONSE_BAR,
             )
         edges.unpersist()
     return stats

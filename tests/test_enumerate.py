@@ -88,7 +88,7 @@ def test_idx_join_detail_counts(spark):
     res = idx_join(ctx, 2)
     d = res.detail
     assert d["cut"] == 2
-    assert d["n_ra"] >= 0 and d["n_rb"] >= 0
+    assert (d["n_ra"], d["n_rb"]) == (3, 4)
     assert res.n_results == d["n_joined"] + sum(
         1 for p in po.python_paths(PAPER_EDGES, 0, 1, 4) if p.count("-") <= 2
     )
@@ -124,6 +124,7 @@ def test_k1_direct_edge(spark):
     assert {po.path_str(r["path"]) for r in res.paths.collect()} == {"0-1"}
     res_j = idx_join(ctx, 1)
     assert {po.path_str(r["path"]) for r in res_j.paths.collect()} == {"0-1"}
+    assert (res_j.detail["cut"], res_j.detail["n_ra"], res_j.detail["n_rb"]) == (0, 1, 1)
 
 
 def test_paths_to_strings_format(spark):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import pathoracle as po
-from repro.core.expand import expand, make_frontier
+from repro.core.expand import TimeLimit, expand, make_frontier
 from tests.helpers import CYCLE6, DIAMOND, PAPER_EDGES, cached_ctx
 
 
@@ -59,7 +59,8 @@ def test_walk_mode_no_dedupe(ctx):
 
 
 def test_timeout_flag(ctx):
-    _, _, stats = _run(ctx, timeout_s=0.0)
+    with TimeLimit(ctx.spark.sparkContext, 0.0) as limit:
+        _, _, stats = _run(ctx, limit=limit)
     assert stats.timed_out
     assert stats.depth_stats == []
 

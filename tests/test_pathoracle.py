@@ -2,12 +2,14 @@
 trustworthy before it can judge the Spark enumerators)."""
 from __future__ import annotations
 
+import pyspark.sql.functions as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import pathoracle as po
-from tests.helpers import CYCLE6, DIAMOND, LINE, PAPER_EDGES, edges_pdf
+from repro.oracle import assert_equivalent
+from tests.helpers import CYCLE6, DIAMOND, LINE, PAPER_EDGES, edges_df, edges_pdf
 
 
 def test_diamond_paths():
@@ -122,3 +124,30 @@ def test_weighted_sql_oracle():
     got = {r[0] for r in con.execute(sql).fetchall()}
     con.close()
     assert got == {"0-2-3"}  # 0-1-3 has acc=2 < 6
+
+
+# --- the DuckDB result-equality checker (repro.oracle) -------------------
+
+_OUT_DEGREE_SQL = "SELECT src, count(*) AS n, sum(dst) AS d FROM edges GROUP BY src"
+
+
+def test_oracle_agreement_on_aggregate(spark):
+    edges = edges_df(spark, PAPER_EDGES)
+    got = edges.groupBy("src").agg(F.count("*").alias("n"), F.sum("dst").alias("d"))
+    assert_equivalent(got, _OUT_DEGREE_SQL, edges=edges)
+
+
+def test_oracle_catches_wrong_result(spark):
+    edges = edges_df(spark, PAPER_EDGES)
+    wrong = edges.groupBy("src").agg(
+        (F.count("*") + 1).alias("n"), F.sum("dst").alias("d")
+    )
+    with pytest.raises(AssertionError):
+        assert_equivalent(wrong, _OUT_DEGREE_SQL, edges=edges)
+
+
+def test_oracle_catches_column_mismatch(spark):
+    edges = edges_df(spark, PAPER_EDGES)
+    got = edges.select(F.col("src").alias("wrong_name")).limit(1)
+    with pytest.raises(AssertionError):
+        assert_equivalent(got, "SELECT src FROM edges LIMIT 1", edges=edges)
