@@ -22,14 +22,3 @@ def get_spark(app: str) -> SparkSession:
         .getOrCreate()
     )
 
-
-def sweep_stats(spark: SparkSession):
-    """Load the cached k-sweep (Tables 4–7) or run it."""
-    from repro.exp.experiments import ksweep_experiment, load_stats, save_stats
-
-    try:
-        return load_stats("ksweep")
-    except FileNotFoundError:
-        stats = ksweep_experiment(spark)
-        save_stats("ksweep", stats)
-        return stats

@@ -12,15 +12,16 @@ is:
   candidate generation, so every neighbour in the reduced graph is
   touched (higher per-step cost α, the trade-off §D analyses).
 
-BC-JOIN is the mid-point variant: prefix to position ceil(k/2), suffix
-from the cut vertices, hash-join — structurally Algorithm 6 with a fixed
-cut and no index.
+Both run on the plan enumerator of ``repro.core.enumerate``: BC-DFS is
+the cut-k (left-deep) plan, and BC-JOIN the mid-point variant: prefix to
+position ceil(k/2), suffix from the cut vertices, hash-join —
+structurally Algorithm 6 with a fixed cut and no index.
 """
 from __future__ import annotations
 
 from repro.core.constraints import NO_CONSTRAINTS, Constraints
 from repro.core.context import QueryContext
-from repro.core.enumerate import EnumResult, _dfs, _join_enum
+from repro.core.enumerate import EnumResult, _join_cut, _run_plan
 
 
 def bc_dfs(
@@ -32,9 +33,10 @@ def bc_dfs(
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
     """Barrier-pruned backtracking search (post-join distance check)."""
-    return _dfs(
+    return _run_plan(
         ctx,
         ctx.barrier_edges,
+        ctx.k,
         budget_col="dtf_dst",
         pre=False,
         method="BC-DFS",
@@ -53,11 +55,10 @@ def bc_join(
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
     """Mid-point join over the barrier-pruned graph (fixed cut ceil(k/2))."""
-    cut = (ctx.k + 1) // 2
-    return _join_enum(
+    return _run_plan(
         ctx,
         ctx.barrier_edges,
-        cut,
+        _join_cut(ctx, (ctx.k + 1) // 2),
         budget_col="dtf_dst",
         pre=False,
         method="BC-JOIN",

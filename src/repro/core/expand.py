@@ -154,15 +154,6 @@ def make_frontier(
     return constraints.init_frontier(df)
 
 
-def empty_results(spark: SparkSession, constraints: Constraints = NO_CONSTRAINTS) -> DataFrame:
-    schema = "path array<long>"
-    if constraints.accumulative:
-        schema += ", acc double"
-    if constraints.automaton:
-        schema += ", state string"
-    return spark.createDataFrame([], schema=schema)
-
-
 def expand(
     spark: SparkSession,
     frontier: DataFrame,
@@ -308,5 +299,6 @@ def expand(
         for r in results[1:]:
             out = out.unionByName(r)
     else:
-        out = empty_results(spark, constraints)
+        # zero rows with the results' schema; needs no local relation.
+        out = frontier.select("path", *extra_cols).limit(0)
     return out, frontier, stats

@@ -1,19 +1,23 @@
 """PathEnum's cost-based query optimizer (paper §3.2 / §6).
 
 Per query: (1) run the O(k^2)-ish preliminary estimator; if the search
-space looks small (T_hat <= tau) dispatch straight to IDX-DFS — the
+space looks small (T_hat <= TAU) dispatch straight to IDX-DFS — the
 optimisation time would dominate short queries.  (2) Otherwise run the
 full-fledged DP, compare the Eq. 1 costs of the left-deep plan (T_DFS)
 and the bushy plan cut at i* (T_JOIN), and execute the cheaper one.
 
-tau = 1e6 came from the paper's calibration procedure (§3.2: "test tau
-from 10, 100, … until finding tau results takes longer than join-plan
-optimisation") when the full estimator ran as Spark jobs costing seconds
-and enumeration streamed ~1e5–1e6 rows/s (the paper's C++ substrate lands
-at 1e5 the same way).  Both estimators now run on the driver over one
-collect of the index (at most two Spark jobs per query) and tau is kept
-unchanged; re-deriving it with the §3.2 procedure for the cheaper
-optimiser is an open item in ROADMAP.md.
+``TAU = 1e6`` is a constant of the method, not a parameter.  It came
+from the paper's calibration procedure (§3.2: "test tau from 10, 100, …
+until finding tau results takes longer than join-plan optimisation")
+when the full estimator ran as Spark jobs costing seconds.  Both
+estimators now run on the driver over one collect of the index (at most
+two Spark jobs per query), so the gate saves about a millisecond of
+planning; it stays because it keeps light queries off the join plan.
+A probe without the gate (perfbench mixed-k4 seeds 1–3, the first 4
+timed queries of each, warm session, 2 reps) had Eq. 1 pick IDX-JOIN
+for 7 of 12 queries; those joins launched 31 enumeration jobs against
+IDX-DFS's 26, were faster on both reps for only 1 of the 7, and returned
+the same ``n_results`` as IDX-DFS every time.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from repro.core.context import QueryContext
 from repro.core.enumerate import EnumResult, idx_dfs, idx_join
 from repro.core.estimator import FullEstimate, full_estimate, preliminary_estimate
 
-DEFAULT_TAU = 1e6
+TAU = 1e6
 
 
 @dataclass
@@ -43,7 +47,6 @@ class Decision:
 def path_enum(
     ctx: QueryContext,
     *,
-    tau: float = DEFAULT_TAU,
     timeout_s: float | None = None,
     row_cap: int | None = None,
     response_bar: int | None = None,
@@ -59,7 +62,7 @@ def path_enum(
     est, method, cut = None, "IDX-DFS", None
     # Automaton constraints are DFS-only (Appendix E): the DFS kills
     # invalid label sequences early, the join cannot.
-    if t_hat > tau and constraints.automaton is None:
+    if t_hat > TAU and constraints.automaton is None:
         est = full_estimate(ctx)
         if est.t_dfs >= est.t_join:
             method, cut = "IDX-JOIN", max(1, min(est.i_star, ctx.k - 1))

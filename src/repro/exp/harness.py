@@ -28,7 +28,7 @@ from repro.core.context import build_context
 from repro.core.enumerate import idx_dfs, idx_join
 from repro.core.estimator import full_estimate
 from repro.core.index import INDEX_EDGE_BYTES
-from repro.core.optimizer import DEFAULT_TAU, path_enum
+from repro.core.optimizer import path_enum
 from repro.graphs.queries import Query
 
 ALGOS = ("BC-DFS", "BC-JOIN", "IDX-DFS", "IDX-JOIN", "PathEnum")
@@ -77,7 +77,6 @@ def run_query_set(
     timeout_s: float = TIMEOUT_S,
     row_cap: int = ROW_CAP,
     response_bar: int = RESPONSE_BAR,
-    tau: float = DEFAULT_TAU,
 ) -> list[QueryStats]:
     """Run every algorithm on every query; one context per query."""
     out: list[QueryStats] = []
@@ -93,7 +92,6 @@ def run_query_set(
                     timeout_s=timeout_s,
                     row_cap=row_cap,
                     response_bar=response_bar,
-                    tau=tau,
                 )
             )
         ctx.unpersist()
@@ -109,7 +107,6 @@ def _run_one(
     timeout_s: float,
     row_cap: int,
     response_bar: int,
-    tau: float,
 ) -> QueryStats:
     if algo in ("IDX-DFS", "IDX-JOIN", "PathEnum"):
         prep_s = ctx.bfs_s + ctx.index_s
@@ -135,7 +132,6 @@ def _run_one(
     elif algo == "PathEnum":
         res, decision = path_enum(
             ctx,
-            tau=tau,
             timeout_s=enum_budget,
             row_cap=row_cap,
             response_bar=response_bar,

@@ -1,10 +1,12 @@
 """IDX-DFS (Alg. 4) and IDX-JOIN (Alg. 6) vs. the DuckDB oracle, across
-graphs, hop constraints and every cut position."""
+graphs, hop constraints and every cut position, and the pinned work of
+every plan of the one enumerator."""
 from __future__ import annotations
 
 import pytest
 
 from repro import pathoracle as po
+from repro.core.baselines import bc_dfs, bc_join
 from repro.core.enumerate import idx_dfs, idx_join, paths_to_strings
 from repro.oracle import assert_equivalent
 from tests.helpers import (
@@ -14,6 +16,7 @@ from tests.helpers import (
     PAPER_EDGES,
     cached_ctx,
     edges_pdf,
+    jobs_launched,
     random_query,
 )
 
@@ -131,3 +134,54 @@ def test_paths_to_strings_format(spark):
     ctx = cached_ctx(spark, DIAMOND, 0, 3, 2)
     got = {r["path"] for r in paths_to_strings(idx_dfs(ctx).paths).collect()}
     assert got == {"0-1-3", "0-2-3"}
+
+
+# (n_results, edges_accessed, partial_cells) of IDX-DFS, IDX-JOIN at the
+# mid cut, BC-DFS and BC-JOIN per case.  The plans share one enumerator,
+# so a change to its shape must leave each plan's work as it is.
+PINNED_WORK = {
+    "paper-k2": ((2, 4, 4), (2, 4, 12), (2, 4, 4), (2, 4, 12)),
+    "paper-k3": ((4, 8, 6), (4, 8, 16), (4, 9, 6), (4, 9, 16)),
+    "paper-k4": ((5, 12, 9), (5, 13, 30), (5, 12, 9), (5, 15, 30)),
+    "diamond": ((2, 4, 4), (2, 4, 4), (2, 4, 4), (2, 4, 4)),
+    "line": ((1, 4, 4), (1, 4, 10), (1, 4, 4), (1, 4, 10)),
+    "cycle": ((1, 3, 3), (1, 3, 3), (1, 3, 3), (1, 3, 3)),
+    "no-result": ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    "rand0": ((26, 68, 60), (26, 50, 141), (26, 130, 60), (26, 82, 141)),
+    "rand1": ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    "rand2": ((7, 22, 15), (7, 19, 39), (7, 97, 51), (7, 68, 111)),
+    "rand3": ((10, 33, 28), (10, 22, 63), (10, 53, 28), (10, 36, 63)),
+    "rand4": ((10, 27, 20), (10, 19, 48), (10, 64, 30), (10, 47, 72)),
+    "rand5": ((15, 48, 40), (15, 34, 99), (15, 125, 40), (15, 79, 99)),
+}
+
+
+@pytest.mark.parametrize("name,edges,s,t,k", ALL_CASES, ids=[c[0] for c in ALL_CASES])
+def test_plans_do_pinned_work(spark, name, edges, s, t, k):
+    ctx = cached_ctx(spark, edges, s, t, k)
+    plans = (idx_dfs(ctx), idx_join(ctx, (k + 1) // 2), bc_dfs(ctx), bc_join(ctx))
+    got = tuple((r.n_results, r.edges_accessed, r.partial_cells) for r in plans)
+    assert got == PINNED_WORK[name]
+    assert not any(r.timed_out for r in plans)
+    # a DFS is the cut-k plan: no suffix ever runs.
+    assert [(r.detail["cut"], r.detail["n_rb"]) for r in plans[::2]] == [(k, 0), (k, 0)]
+    # without a response bar only the join plans report a first-X time.
+    assert [r.response_s is None for r in plans] == [True, False, True, False]
+
+
+@pytest.mark.parametrize(
+    "plan,jobs",
+    [
+        (lambda ctx: idx_dfs(ctx), 26),
+        (lambda ctx: idx_join(ctx, 2), 31),
+        (lambda ctx: bc_dfs(ctx), 20),
+        (lambda ctx: bc_join(ctx), 25),
+        (lambda ctx: idx_dfs(ctx, timeout_s=0.0), 0),
+    ],
+    ids=["IDX-DFS", "IDX-JOIN", "BC-DFS", "BC-JOIN", "IDX-DFS-timeout-0"],
+)
+def test_plan_spark_jobs(spark, plan, jobs):
+    """Spark jobs per plan on the paper example: the left-deep plan runs
+    no suffix and no join, and a spent limit launches nothing."""
+    ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
+    assert jobs_launched(spark, lambda: plan(ctx)) == jobs
