@@ -10,7 +10,8 @@ recursion level of Algorithm 1/4:
 * **index mode** (``pre=True``) — the per-step budget filter
   ``dt(dst) <= k - pos`` is pushed into the join against the pre-bucketed
   index edges, so only qualifying neighbours are ever touched: the
-  dataflow analogue of the O(1) ``I_t(v,b)`` slice.
+  dataflow analogue of the O(1) ``I_t(v,b)`` slice.  The filtered edge
+  side is broadcast into the join, so the frontier is never shuffled.
 * **barrier mode** (``pre=False``) — the join runs against the coarser
   barrier-pruned edge set and the distance check happens *after*
   candidate materialisation, reproducing the baseline's higher per-step
@@ -19,10 +20,11 @@ recursion level of Algorithm 1/4:
 Rows reaching ``t`` are emitted and never extended (Definition 2.1 bans
 interior s/t); the simple-path check is ``NOT array_contains(path,dst)``.
 Each level materialises exactly one eagerly localCheckpoint-ed candidate
-frame classified by a ``_cls`` column (emit / continue / pruned), so per
-level there is one Spark job plus one tiny count — this keeps scheduler
-latency bounded while still giving the per-depth counters the paper's
-response-time and Figure-6/Table-7 metrics need.
+frame classified by a ``_cls`` column (emit / continue / pruned); an
+observation on that checkpoint counts each class in the same job, so a
+level costs the edge side's broadcast plus that one job, and still gives
+the per-depth counters the paper's response-time and Figure-6/Table-7
+metrics need.
 
 **Time limit.**  An enumeration runs inside one :class:`TimeLimit`: its
 Spark jobs carry a job tag of their own, and once the limit has passed a
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 import pyspark.sql.functions as F
 from py4j.protocol import Py4JJavaError
 from pyspark.errors.exceptions.captured import CapturedException
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 
 from repro.core.constraints import NO_CONSTRAINTS, Constraints
 
@@ -202,6 +204,7 @@ def expand(
         e = edges
         if pre and budget_col is not None:
             e = e.where(F.col(budget_col) <= budget)
+        e = F.broadcast(e)
         cand = frontier.join(e, frontier["last"] == e["src"], "inner")
         if aut_c:
             cand = cand.join(
@@ -250,17 +253,23 @@ def expand(
             .when(cont_ok, F.lit(_CONTINUE))
             .otherwise(F.lit(_PRUNED)),
         ).drop("_is_t", "_valid", "_fresh", "_allowed")
+        counts = Observation()
+        cand = cand.observe(
+            counts,
+            F.count(F.lit(1)).alias("accessed"),
+            F.count_if(F.col("_cls") == _EMIT).alias("emitted"),
+            F.count_if(F.col("_cls") == _CONTINUE).alias("frontier"),
+        )
         try:
             cand = cand.localCheckpoint(eager=True)
-            cnts = {r["_cls"]: r["count"] for r in cand.groupBy("_cls").count().collect()}
         except SPARK_ERRORS:
             if limit is None or not limit.expired:
                 raise
             stats.timed_out = True  # this depth's job was cancelled
             break
-        accessed = sum(cnts.values())
-        n_emit = cnts.get(_EMIT, 0)
-        n_frontier = cnts.get(_CONTINUE, 0)
+        # read only now: the metrics of a cancelled job never arrive.
+        cnts = counts.get
+        accessed, n_emit, n_frontier = cnts["accessed"], cnts["emitted"], cnts["frontier"]
 
         if n_emit:
             results.append(

@@ -28,7 +28,7 @@ INDEX_EDGE_BYTES = 6 * 8
 
 
 def build_index_edges(edges: DataFrame, dist: DataFrame, s: int, t: int, k: int) -> DataFrame:
-    """Join the edge list with the distance table and keep index edges.
+    """Join the edge list with the broadcast distance table and keep index edges.
 
     ``dist`` is the output of :func:`repro.graphs.bfs.distance_table`;
     NULL distances mean "not within k hops" and fail every comparison, so
@@ -46,8 +46,8 @@ def build_index_edges(edges: DataFrame, dist: DataFrame, s: int, t: int, k: int)
     )
     extras = [c for c in edges.columns if c not in ("src", "dst")]
     return (
-        edges.join(src_d, "src")
-        .join(dst_d, "dst")
+        edges.join(F.broadcast(src_d), "src")
+        .join(F.broadcast(dst_d), "dst")
         .where(
             (F.col("ds_src") + F.col("dt_src") <= k)
             & (F.col("ds_src") + 1 + F.col("dt_dst") <= k)

@@ -44,6 +44,12 @@ class Decision:
     opt_s: float                      # total optimisation wall time
 
 
+def pathenum_cut(est: FullEstimate, k: int) -> int:
+    """The cut PathEnum's bushy plan runs: the estimator's i*, kept in
+    ``[1, k-1]`` (``idx_join`` clamps to ``[0, k-1]`` on its own)."""
+    return max(1, min(est.i_star, k - 1))
+
+
 def path_enum(
     ctx: QueryContext,
     *,
@@ -65,7 +71,7 @@ def path_enum(
     if t_hat > TAU and constraints.automaton is None:
         est = full_estimate(ctx)
         if est.t_dfs >= est.t_join:
-            method, cut = "IDX-JOIN", max(1, min(est.i_star, ctx.k - 1))
+            method, cut = "IDX-JOIN", pathenum_cut(est, ctx.k)
     opt_s = time.perf_counter() - t0
     decision = Decision(
         t_hat=t_hat,

@@ -7,6 +7,7 @@ import pytest
 
 from repro import pathoracle as po
 from repro.core.baselines import bc_dfs, bc_join
+from repro.core.context import build_context
 from repro.core.enumerate import idx_dfs, idx_join, paths_to_strings
 from repro.oracle import assert_equivalent
 from tests.helpers import (
@@ -15,6 +16,7 @@ from tests.helpers import (
     LINE,
     PAPER_EDGES,
     cached_ctx,
+    edges_df,
     edges_pdf,
     jobs_launched,
     random_query,
@@ -172,10 +174,10 @@ def test_plans_do_pinned_work(spark, name, edges, s, t, k):
 @pytest.mark.parametrize(
     "plan,jobs",
     [
-        (lambda ctx: idx_dfs(ctx), 26),
-        (lambda ctx: idx_join(ctx, 2), 31),
-        (lambda ctx: bc_dfs(ctx), 20),
-        (lambda ctx: bc_join(ctx), 25),
+        (lambda ctx: idx_dfs(ctx), 8),
+        (lambda ctx: idx_join(ctx, 2), 14),
+        (lambda ctx: bc_dfs(ctx), 8),
+        (lambda ctx: bc_join(ctx), 14),
         (lambda ctx: idx_dfs(ctx, timeout_s=0.0), 0),
     ],
     ids=["IDX-DFS", "IDX-JOIN", "BC-DFS", "BC-JOIN", "IDX-DFS-timeout-0"],
@@ -184,4 +186,21 @@ def test_plan_spark_jobs(spark, plan, jobs):
     """Spark jobs per plan on the paper example: the left-deep plan runs
     no suffix and no join, and a spent limit launches nothing."""
     ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
+    ctx.barrier_edges  # the BC state is built on first use; count the plan alone
     assert jobs_launched(spark, lambda: plan(ctx)) == jobs
+
+
+def test_build_context_spark_jobs(spark):
+    """The context runs the ds/dt BFS and the index build only: no
+    dsf/dtf BFS and no barrier build until a BC-* plan asks for it."""
+    edges = edges_df(spark, PAPER_EDGES)
+    box = []
+    assert jobs_launched(spark, lambda: box.append(build_context(spark, edges, 0, 1, 4))) == 17
+    ctx = box[0]
+    try:
+        assert (ctx.n_barrier_edges, ctx.barrier_s) == (0, 0.0)
+        assert jobs_launched(spark, lambda: ctx.barrier_edges) == 18
+        assert ctx.n_barrier_edges == 12 and ctx.barrier_s > 0
+        assert jobs_launched(spark, lambda: ctx.barrier_edges) == 0
+    finally:
+        ctx.unpersist()

@@ -6,11 +6,12 @@ import pytest
 
 from repro import pathoracle as po
 from repro.core.constraints import AutomatonConstraint, Constraints
+from repro.core.context import build_context
 from repro.core.enumerate import paths_to_strings
 from repro.core import optimizer
 from repro.core.optimizer import path_enum
 from repro.oracle import assert_equivalent
-from tests.helpers import PAPER_EDGES, cached_ctx, edges_pdf
+from tests.helpers import PAPER_EDGES, cached_ctx, edges_df, edges_pdf
 from tests.test_enumerate import ALL_CASES
 
 
@@ -81,3 +82,22 @@ def test_decision_records_t_hat_and_time(spark):
     _, decision = path_enum(ctx)
     assert decision.t_hat >= 0
     assert decision.opt_s > 0
+
+
+SESSION_KEYS = (
+    "spark.sql.adaptive.enabled",
+    "spark.sql.shuffle.partitions",
+    "spark.sql.autoBroadcastJoinThreshold",
+)
+
+
+def test_query_leaves_session_settings_alone(spark):
+    """Every broadcast is an explicit hint: a query changes no session
+    setting that would lower its job count behind the caller's back."""
+    before = {key: spark.conf.get(key) for key in SESSION_KEYS}
+    ctx = build_context(spark, edges_df(spark, PAPER_EDGES), 0, 1, 4)
+    try:
+        path_enum(ctx)
+    finally:
+        ctx.unpersist()
+    assert {key: spark.conf.get(key) for key in SESSION_KEYS} == before

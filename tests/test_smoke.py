@@ -47,5 +47,6 @@ def test_smoke_path_enum(ctx):
 
 
 def test_smoke_index_smaller_than_barrier(ctx):
-    assert ctx.n_index_edges <= ctx.n_barrier_edges
+    n_barrier = ctx.barrier_edges.count()  # built on first use
+    assert ctx.n_index_edges <= n_barrier == ctx.n_barrier_edges
     assert ctx.n_index_edges > 0

@@ -32,7 +32,9 @@ def _local_state(sc):
 
 @pytest.fixture(scope="module")
 def heavy(spark):
-    """ye_s, k=5, first hh query: ~2.8e5 walks, several seconds of IDX-DFS.
+    """ye_s, k=6, first hh query: ~9.9e6 walks, far more than 2 s of
+    IDX-DFS or IDX-JOIN (at k=5, ~2.8e5 walks, both plans finish in about
+    2 s, so a 2 s limit would not reliably cut them).
 
     A limit cannot stop the driver-side planning of a job, and the first
     plan of each shape in a JVM compiles its generated code; a small query
@@ -44,7 +46,7 @@ def heavy(spark):
     idx_join(small, 2)
     cfg = G.suite_by_name("ye_s")
     pdf = cfg.build_pdf()
-    q = generate_queries(pdf, k=5, n_queries=1, setting="hh", seed=cfg.seed)[0]
+    q = generate_queries(pdf, k=6, n_queries=1, setting="hh", seed=cfg.seed)[0]
     edges = G.to_spark(spark, pdf).persist()
     ctx = build_context(spark, edges, q.s, q.t, q.k)
     yield ctx, set(pdf.itertuples(index=False, name=None))
@@ -56,7 +58,7 @@ def heavy(spark):
 def test_heavy_query_is_cut_at_the_limit(spark, heavy, method):
     ctx, edge_set = heavy
     est = full_estimate(ctx)
-    assert est.walks > 1e5  # far beyond what 2 s of expansion depths reach
+    assert est.walks > 1e6  # far beyond what 2 s of expansion depths reach
     sc = spark.sparkContext
     before = _local_state(sc)
     if method == "IDX-DFS":
