@@ -2,13 +2,16 @@
 
 Every enumerator (IDX-DFS, IDX-JOIN, BC-DFS, BC-JOIN, PathEnum) consumes a
 :class:`QueryContext`.  :func:`build_context` runs the two-tag ``ds``/``dt``
-BFS and builds the index from it; the BC-* baselines' state (the
-full-graph ``dsf``/``dtf`` BFS and the barrier edges built from it) is
-built by :func:`build_barrier_edges` the first time a BC-* plan reads
-``barrier_edges``, so PathEnum never pays for it.  The experiment harness
-charges each algorithm the measured preprocessing wall time it pays:
-``bfs_s + index_s`` for IDX-* / PathEnum, ``barrier_s`` (its own BFS plus
-the barrier build) for BC-* — see DESIGN.md §7.
+BFS (one Spark job per level) and builds the index from it; the context
+keeps the distance table both as a Spark view and as the driver-side
+frame it was made from, which the planner reads.  The BC-* baselines'
+state (the full-graph ``dsf``/``dtf`` BFS and the barrier edges built
+from it) is built by :func:`build_barrier_edges` the first time a BC-*
+plan reads ``barrier_edges``, so PathEnum never pays for it.
+The experiment harness charges each algorithm the measured preprocessing
+wall time it pays: ``bfs_s + index_s`` for IDX-* / PathEnum,
+``barrier_s`` (its own BFS plus the barrier build) for BC-* — see
+DESIGN.md §7.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, Observation, SparkSession
 
@@ -36,6 +40,7 @@ class QueryContext:
     t: int
     k: int
     dist: DataFrame           # (v, ds, dt) — NULL = beyond k hops
+    dist_table: pd.DataFrame  # the same table on the driver (NA = beyond k hops)
     index_edges: DataFrame    # Algorithm 3's H as edges (see core.index)
     n_index_edges: int
     bfs_s: float              # wall time of the ds/dt BFS
@@ -51,19 +56,25 @@ class QueryContext:
         """BC-* pruned edges (full-graph distances), built on first use."""
         if self._barrier_edges is None:
             t0 = time.perf_counter()
-            bar = build_barrier_edges(self.spark, self.edges, self.s, self.t, self.k).persist()
-            self.n_barrier_edges = bar.count()
+            self._barrier_edges, self.n_barrier_edges = checkpoint_with_count(
+                build_barrier_edges(self.spark, self.edges, self.s, self.t, self.k)
+            )
             self.barrier_s = time.perf_counter() - t0
-            self._barrier_edges = bar
         return self._barrier_edges
 
     def unpersist(self) -> None:
-        """Release the barrier edges, if built.  ``dist`` and the index
-        edges are local checkpoints: Spark frees their blocks once the
-        frames are dropped (a persisted index would also keep the
-        broadcast distance tables of its plan alive)."""
-        if self._barrier_edges is not None:
-            self._barrier_edges.unpersist()
+        """Drop the context's reference to the barrier edges, if built.
+        They and the index edges are local checkpoints: Spark frees their
+        blocks once the frames are dropped (a persisted frame would also
+        keep the broadcast distance tables of its plan alive)."""
+        self._barrier_edges = None
+
+
+def checkpoint_with_count(df: DataFrame) -> tuple[DataFrame, int]:
+    """``df`` as a local checkpoint and its row count, in one Spark job."""
+    size = Observation()
+    df = df.observe(size, F.count(F.lit(1)).alias("n")).localCheckpoint(eager=True)
+    return df, size.get["n"]
 
 
 def build_barrier_edges(
@@ -109,13 +120,7 @@ def build_context(
     bfs_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    size = Observation()
-    idx = (
-        build_index_edges(edges, dist, s, t, k)
-        .observe(size, F.count(F.lit(1)).alias("n"))
-        .localCheckpoint(eager=True)
-    )
-    n_idx = size.get["n"]
+    idx, n_idx = checkpoint_with_count(build_index_edges(edges, dist, s, t, k))
     index_s = time.perf_counter() - t0
 
     return QueryContext(
@@ -125,6 +130,7 @@ def build_context(
         t=t,
         k=k,
         dist=dist,
+        dist_table=dist.driver_table,
         index_edges=idx,
         n_index_edges=n_idx,
         bfs_s=bfs_s,

@@ -28,7 +28,7 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
 from repro.core.constraints import NO_CONSTRAINTS, Constraints
-from repro.core.context import QueryContext
+from repro.core.context import QueryContext, checkpoint_with_count
 from repro.core.expand import CELL_BYTES, SPARK_ERRORS, TimeLimit, expand, make_frontier
 
 
@@ -210,8 +210,7 @@ def _run_plan(
             timed_out = st_b.timed_out or limit.expired
             if not timed_out:
                 try:
-                    joined = joined.localCheckpoint(eager=True)
-                    n_joined = joined.count()
+                    joined, n_joined = checkpoint_with_count(joined)
                 except SPARK_ERRORS:
                     if not limit.expired:
                         raise

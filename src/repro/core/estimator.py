@@ -1,10 +1,11 @@
 """Cardinality estimation and join-order optimisation (paper §6, Alg. 5).
 
 Both estimators are O(k·|index|) arithmetic, so they run on the driver in
-NumPy over one collect of the per-query index (:func:`index_arrays`): the
-index edges and the distance table.  The index is small by construction
-(at most 5.9 MB at the paper's scale, Table 7), and a query launches at
-most two Spark jobs for planning whichever estimators run.
+NumPy over one collect of the per-query index edges (:func:`index_arrays`)
+and the distance table the BFS already left on the driver.  The index is
+small by construction (at most 5.9 MB at the paper's scale, Table 7), and
+a query launches at most one Spark job for planning whichever estimators
+run.
 
 * :func:`preliminary_estimate` (Eq. 5) — per-position average branching
   factors ``gamma_j`` over the index, multiplied out.  Cheap; used to gate
@@ -26,7 +27,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import pyspark.sql.functions as F
 
 from repro.core.context import QueryContext
 
@@ -50,29 +50,23 @@ class IndexArrays:
 
 
 def index_arrays(ctx: QueryContext) -> IndexArrays:
-    """Collect the index edges and the distance table once per query
-    (two Spark jobs) and cache them on the context."""
+    """Collect the index edges once per query (one Spark job), join them
+    with the context's driver-side distance table and cache the result
+    on the context."""
     if ctx.index_arrays is None:
-        far = F.lit(ctx.k + 1)
+        far = ctx.k + 1
         edges = ctx.index_edges.select("src", "dst", "ds_src", "dt_src", "dt_dst").toPandas()
-        dist = ctx.dist.select(
-            "v", F.coalesce("ds", far).alias("ds"), F.coalesce("dt", far).alias("dt")
-        ).toPandas()
         e = {c: edges[c].to_numpy(dtype=np.int64) for c in edges.columns}
-        d = {c: dist[c].to_numpy(dtype=np.int64) for c in dist.columns}
-        ids = np.unique(np.concatenate([d["v"], e["src"], e["dst"], [ctx.s, ctx.t]]))
-        ds = np.full(len(ids), ctx.k + 1, dtype=np.int64)
-        dt = ds.copy()
-        at = np.searchsorted(ids, d["v"])
-        ds[at], dt[at] = d["ds"], d["dt"]
+        # sorted vertex ids; they hold s, t and both ends of every index edge.
+        ids = ctx.dist_table["v"].to_numpy(dtype=np.int64)
         ctx.index_arrays = IndexArrays(
             src=np.searchsorted(ids, e["src"]),
             dst=np.searchsorted(ids, e["dst"]),
             ds_src=e["ds_src"],
             dt_src=e["dt_src"],
             dt_dst=e["dt_dst"],
-            ds=ds,
-            dt=dt,
+            ds=ctx.dist_table["ds"].to_numpy(dtype=np.int64, na_value=far),
+            dt=ctx.dist_table["dt"].to_numpy(dtype=np.int64, na_value=far),
             s=int(np.searchsorted(ids, ctx.s)),
             t=int(np.searchsorted(ids, ctx.t)),
         )

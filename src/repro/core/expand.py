@@ -41,6 +41,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+import pandas as pd
 import pyspark.sql.functions as F
 from py4j.protocol import Py4JJavaError
 from pyspark.errors.exceptions.captured import CapturedException
@@ -149,10 +151,14 @@ def make_frontier(
     vertices: list[int],
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> DataFrame:
-    """Initial frontier: one single-vertex partial result per vertex."""
-    df = spark.createDataFrame([(int(v),) for v in vertices], schema="last long").select(
-        F.array(F.col("last")).alias("path"), "last"
-    )
+    """Initial frontier: one single-vertex partial result per vertex.
+
+    Built from a pandas frame over Arrow: a one-row frontier built from a
+    Python list made its first depth take 0.43-0.54 s instead of
+    0.16-0.19 s (warm, local[4] on 4 vCPUs, DESIGN.md §7)."""
+    df = spark.createDataFrame(
+        pd.DataFrame({"last": np.asarray(vertices, dtype=np.int64)}), schema="last long"
+    ).select(F.array(F.col("last")).alias("path"), "last")
     return constraints.init_frontier(df)
 
 

@@ -1,4 +1,4 @@
-"""Bounded multi-source BFS as iterative DataFrame joins.
+"""Bounded multi-source BFS with the frontier on the driver.
 
 PathEnum's index needs two distance fields per query (Algorithm 3):
 
@@ -11,31 +11,38 @@ BC-* plan asks for them (``repro.core.context``):
 * ``dsf`` = S(s, v | G)      — forward from s
 * ``dtf`` = S(v, t | G)      — reverse from t
 
-Each table's BFSs run in ONE iterative loop: each BFS is a *tag*, the
-tagged edge sets are unioned and persisted, and every iteration expands
-every tag's frontier with a single join (Pregel-style, Catalyst-native —
-the PySpark stand-in for GraphX).  "G-{x}" is realised as
-*reach-but-never-expand*: the tag's edges out of the excluded vertex are
-filtered away once, up front, so the vertex may receive a distance (t is
-the endpoint of every path, s the start) but no path through its interior
-is counted.
+Each table's BFSs run in ONE level loop, each BFS a *tag*.  The
+distances and frontiers are driver-side NumPy arrays; only the edge scan
+runs in Spark.  Per level, every tag whose frontier is not empty scans
+the cached edge list with one ``IN`` predicate over its frontier (on
+``src``, or on ``dst`` for a reverse tag — Catalyst turns the list into a
+hash ``InSet``); the scans are unioned and collected in ONE Spark job,
+and each tag's new vertices (those it has not reached before) are taken
+in NumPy, so a vertex keeps the first level that reached it.  "G-{x}" is
+realised as *reach-but-never-expand*: the excluded vertex receives a
+distance (t is the endpoint of every path, s the start) but never enters
+its tag's frontier, so no path through its interior is counted.  The
+loop ends at the first level that reaches no new vertex, or at the hop
+constraint ``k`` — distances larger than k are useless to the index and
+are never computed.
 
-Per level the frontier is broadcast into the join with the persisted
-tagged edges, so the graph is never re-shuffled.  The reached vertices
-are folded into the one ``visited`` frame ``(v, <tag>...)`` by a
-per-vertex minimum (a vertex keeps the first level that reached it),
-which is re-checkpointed; an observation on that checkpoint counts the
-level's new vertices in the same job, and the loop ends at the first
-level with none.  Depth is bounded by the hop constraint ``k`` —
-distances larger than k are useless to the index and are never
-computed.
+The finished table is built once on the driver.  Its Spark view is made
+from that pandas frame over Arrow and carries it as ``driver_table``, so
+the planner reads the distances without a Spark job.
+
+Scale limit (DESIGN.md §7): the ``IN`` list holds one level's newly
+reached vertices, at most |V| (2,500 in perfbench).  A frontier of
+millions of ids at the paper's scale would have to be broadcast instead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
+import numpy as np
+import pandas as pd
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, Observation, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass(frozen=True)
@@ -57,53 +64,53 @@ def bounded_bfs(
 ) -> DataFrame:
     """Run all ``specs`` simultaneously, bounded at ``max_depth`` hops.
 
-    Returns a checkpointed DataFrame ``(v: long, <tag>: int, ...)``, one
-    distance column per spec, with a row for every vertex within
-    ``max_depth`` of some spec's root (roots at dist 0); a distance is
-    NULL where its tag did not reach the vertex.  The loop stops at the
-    first level that reaches no new vertex.
+    Returns a DataFrame ``(v: long, <tag>: int, ...)``, one distance
+    column per spec, with a row for every vertex within ``max_depth`` of
+    some spec's root (roots at dist 0); a distance is NULL where its tag
+    did not reach the vertex.  The same table as a pandas frame, sorted
+    by ``v`` with NA for NULL, is the returned view's ``driver_table``.
+    Each level launches one Spark job; the loop stops at the first level
+    that reaches no new vertex.
     """
-    tags = [sp.tag for sp in specs]
-    tagged = None
-    for sp in specs:
-        e = edges.select(F.col("dst").alias("src"), F.col("src").alias("dst")) if sp.reverse else edges.select("src", "dst")
-        if sp.excluded is not None:
-            e = e.where(F.col("src") != F.lit(sp.excluded))
-        e = e.withColumn("tag", F.lit(sp.tag))
-        tagged = e if tagged is None else tagged.unionByName(e)
-    tagged = tagged.persist()
-
-    roots: dict[int, list[int | None]] = {}
-    for i, sp in enumerate(specs):
-        roots.setdefault(sp.root, [None] * len(specs))[i] = 0
-    visited = spark.createDataFrame(
-        [(v, *d) for v, d in roots.items()],
-        schema=", ".join(["v long", *(f"{tag} int" for tag in tags)]),
-    ).localCheckpoint(eager=True)
-    for depth in range(1, max_depth + 1):
-        frontier = None
-        for tag in tags:
-            f = visited.where(F.col(tag) == depth - 1).select(
-                F.lit(tag).alias("tag"), F.col("v").alias("src")
-            )
-            frontier = f if frontier is None else frontier.unionByName(f)
-        reached = tagged.join(F.broadcast(frontier), on=["tag", "src"]).select(
-            F.col("dst").alias("v"),
-            *(F.when(F.col("tag") == tag, F.lit(depth)).alias(tag) for tag in tags),
-        )
-        level = Observation()
-        visited = (
-            visited.unionByName(reached)
-            .groupBy("v")
-            .agg(*(F.min(tag).alias(tag) for tag in tags))
-            .observe(level, F.count_if(F.array_contains(F.array(*tags), depth)).alias("n"))
-            .localCheckpoint(eager=True)
-        )
-        if not level.get["n"]:
+    # levels[i][d]: the vertices tag i reached first at distance d.
+    levels = [[np.array([sp.root], dtype=np.int64)] for sp in specs]
+    seen = [lv[0] for lv in levels]
+    for _ in range(max_depth):
+        scans = []
+        for i, sp in enumerate(specs):
+            frontier = levels[i][-1]
+            if sp.excluded is not None:
+                frontier = frontier[frontier != sp.excluded]
+            if len(frontier):
+                key, out = ("dst", "src") if sp.reverse else ("src", "dst")
+                ids = ",".join(map(str, frontier.tolist()))
+                scans.append(
+                    edges.where(f"{key} IN ({ids})").select(
+                        F.lit(i).alias("tag"), F.col(out).alias("v")
+                    )
+                )
+        if not scans:
             break
+        rows = reduce(DataFrame.unionByName, scans).toPandas()
+        tag, v = rows["tag"].to_numpy(), rows["v"].to_numpy(dtype=np.int64)
+        for i in range(len(specs)):
+            new = np.setdiff1d(v[tag == i], seen[i])
+            levels[i].append(new)
+            seen[i] = np.union1d(seen[i], new)
 
-    tagged.unpersist()
-    return visited
+    ids = reduce(np.union1d, seen)
+    table = pd.DataFrame({"v": ids})
+    for sp, lv in zip(specs, levels):
+        dist = np.zeros(len(ids), dtype=np.int32)
+        missing = np.ones(len(ids), dtype=bool)
+        for d, vs in enumerate(lv):
+            at = np.searchsorted(ids, vs)
+            dist[at], missing[at] = d, False
+        table[sp.tag] = pd.arrays.IntegerArray(dist, missing)
+    schema = ", ".join(["v long", *(f"{sp.tag} int" for sp in specs)])
+    view = spark.createDataFrame(table, schema=schema)
+    view.driver_table = table
+    return view
 
 
 def distance_table(

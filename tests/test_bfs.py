@@ -1,6 +1,7 @@
 """Distributed bounded BFS vs. the pure-Python reference."""
 from __future__ import annotations
 
+import pandas as pd
 import pytest
 
 from repro.core.context import build_context
@@ -108,6 +109,32 @@ def test_level_loop_stops_on_empty_level(spark):
     assert jobs[5] == jobs[50] > jobs[4]
     rows = {d: sorted(bounded_bfs(spark, edges, spec, d).collect()) for d in (5, 50)}
     assert rows[50] == rows[5]
+
+
+def test_one_spark_job_per_level(spark):
+    """Each level is one Spark job for all tags together, and a run of d
+    levels launches d jobs: LINE reaches a new vertex at levels 1-4 and
+    nothing at level 5, so any depth from 5 on runs 5 levels."""
+    edges = edges_df(spark, LINE)
+    one = [BfsSpec("x", 0)]
+    two = [BfsSpec("x", 0), BfsSpec("y", 4, reverse=True)]
+    for depth in (1, 2, 3, 4, 5, 50):
+        want = min(depth, 5)
+        assert jobs_launched(spark, lambda: bounded_bfs(spark, edges, one, depth)) == want
+        assert jobs_launched(spark, lambda: bounded_bfs(spark, edges, two, depth)) == want
+
+
+def test_driver_table_is_the_view(spark):
+    """The view's driver copy holds the same rows, sorted by vertex, with
+    NA where the view has NULL."""
+    edges = edges_df(spark, [(0, 1), (1, 2), (3, 2)])
+    view = bounded_bfs(spark, edges, [BfsSpec("a", 0), BfsSpec("b", 3)], 5)
+    table = view.driver_table
+    assert list(table.columns) == view.columns == ["v", "a", "b"]
+    assert table["v"].is_monotonic_increasing
+    got = [tuple(None if x is pd.NA else x for x in r) for r in table.itertuples(index=False)]
+    assert got == sorted(tuple(r) for r in view.collect())
+    assert got == [(0, 0, None), (1, 1, None), (2, 2, 1), (3, None, 0)]
 
 
 def test_distance_table_columns_and_semantics(spark):

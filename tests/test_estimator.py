@@ -182,14 +182,15 @@ def test_no_result_graph(spark):
 
 
 def test_planning_collects_the_index_once(spark):
-    """Both estimators share one collect of the index: at most two Spark
-    jobs for a fresh context, none once it is cached."""
+    """Both estimators share one collect of the index edges (the distance
+    table is already on the driver): at most one Spark job for a fresh
+    context, none once it is cached."""
     ctx = build_context(spark, edges_df(spark, PAPER_EDGES), 0, 1, 4)
 
     def plan():
         preliminary_estimate(ctx)
         full_estimate(ctx)
 
-    assert jobs_launched(spark, plan) <= 2
+    assert jobs_launched(spark, plan) <= 1
     assert jobs_launched(spark, plan) == 0
     ctx.unpersist()
