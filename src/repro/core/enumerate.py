@@ -25,10 +25,10 @@ import time
 from dataclasses import dataclass, field
 
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 
 from repro.core.constraints import NO_CONSTRAINTS, Constraints
-from repro.core.context import QueryContext, checkpoint_with_count
+from repro.core.context import QueryContext
 from repro.core.expand import CELL_BYTES, SPARK_ERRORS, TimeLimit, expand, make_frontier
 
 
@@ -209,8 +209,12 @@ def _run_plan(
                 joined = joined.where(acc_c.emit_pred)
             timed_out = st_b.timed_out or limit.expired
             if not timed_out:
+                # the join's rows and their count, in one Spark job.
+                size = Observation()
+                joined = joined.observe(size, F.count(F.lit(1)).alias("n"))
                 try:
-                    joined, n_joined = checkpoint_with_count(joined)
+                    joined = joined.localCheckpoint(eager=True)
+                    n_joined = size.get["n"]
                 except SPARK_ERRORS:
                     if not limit.expired:
                         raise

@@ -1,11 +1,10 @@
 """Cardinality estimation and join-order optimisation (paper §6, Alg. 5).
 
 Both estimators are O(k·|index|) arithmetic, so they run on the driver in
-NumPy over one collect of the per-query index edges (:func:`index_arrays`)
-and the distance table the BFS already left on the driver.  The index is
-small by construction (at most 5.9 MB at the paper's scale, Table 7), and
-a query launches at most one Spark job for planning whichever estimators
-run.
+NumPy over the index arrays the context already holds
+(``QueryContext.index``, built with the index in ``repro.core.index``).
+The index is small by construction (at most 5.9 MB at the paper's scale,
+Table 7), and planning launches no Spark job whichever estimators run.
 
 * :func:`preliminary_estimate` (Eq. 5) — per-position average branching
   factors ``gamma_j`` over the index, multiplied out.  Cheap; used to gate
@@ -29,48 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.context import QueryContext
-
-
-@dataclass(frozen=True)
-class IndexArrays:
-    """The per-query index on the driver, over dense vertex ids 0..n-1.
-
-    Distances the table does not hold (beyond k hops) read ``k + 1``.
-    """
-
-    src: np.ndarray     # per index edge
-    dst: np.ndarray
-    ds_src: np.ndarray
-    dt_src: np.ndarray
-    dt_dst: np.ndarray
-    ds: np.ndarray      # per vertex
-    dt: np.ndarray
-    s: int
-    t: int
-
-
-def index_arrays(ctx: QueryContext) -> IndexArrays:
-    """Collect the index edges once per query (one Spark job), join them
-    with the context's driver-side distance table and cache the result
-    on the context."""
-    if ctx.index_arrays is None:
-        far = ctx.k + 1
-        edges = ctx.index_edges.select("src", "dst", "ds_src", "dt_src", "dt_dst").toPandas()
-        e = {c: edges[c].to_numpy(dtype=np.int64) for c in edges.columns}
-        # sorted vertex ids; they hold s, t and both ends of every index edge.
-        ids = ctx.dist_table["v"].to_numpy(dtype=np.int64)
-        ctx.index_arrays = IndexArrays(
-            src=np.searchsorted(ids, e["src"]),
-            dst=np.searchsorted(ids, e["dst"]),
-            ds_src=e["ds_src"],
-            dt_src=e["dt_src"],
-            dt_dst=e["dt_dst"],
-            ds=ctx.dist_table["ds"].to_numpy(dtype=np.int64, na_value=far),
-            dt=ctx.dist_table["dt"].to_numpy(dtype=np.int64, na_value=far),
-            s=int(np.searchsorted(ids, ctx.s)),
-            t=int(np.searchsorted(ids, ctx.t)),
-        )
-    return ctx.index_arrays
+from repro.core.index import c_i
 
 
 def preliminary_estimate(ctx: QueryContext) -> float:
@@ -78,24 +36,15 @@ def preliminary_estimate(ctx: QueryContext) -> float:
 
     gamma_j = (1/|C_j|) * sum_{v in C_j} |I_t(v, k-j-1)|;
     T_hat   = sum_{i<k} prod_{j<=i} gamma_j.
-    Stats are cached on the context (the paper collects them while
-    building the index).
     """
-    k = ctx.k
-    if not ctx.gamma:
-        ix = index_arrays(ctx)
-        j = np.arange(k)[:, None]
-        cnt = np.count_nonzero(
-            (ix.ds_src <= j) & (ix.dt_src <= k - j) & (ix.dt_dst <= k - j - 1), axis=1
-        )
-        size = np.count_nonzero((ix.ds <= j) & (ix.dt <= k - j), axis=1)
-        gamma = np.divide(cnt, size, out=np.zeros(k), where=size > 0)
-        ctx.gamma = gamma.tolist()
-    t_hat, prod = 0.0, 1.0
-    for g in ctx.gamma:
-        prod *= g
-        t_hat += prod
-    return t_hat
+    ix, k = ctx.index, ctx.k
+    j = np.arange(k)[:, None]
+    cnt = np.count_nonzero(
+        (ix.ds_src <= j) & (ix.dt_src <= k - j) & (ix.dt_dst <= k - j - 1), axis=1
+    )
+    size = np.count_nonzero(c_i(ix, j, k), axis=1)
+    gamma = np.divide(cnt, size, out=np.zeros(k), where=size > 0)
+    return float(np.cumprod(gamma).sum())
 
 
 @dataclass
@@ -119,7 +68,7 @@ def full_estimate(ctx: QueryContext) -> FullEstimate:
     each step is one ``np.bincount`` over them.
     """
     t0 = time.perf_counter()
-    ix = index_arrays(ctx)
+    ix = ctx.index
     s, t, k = ix.s, ix.t, ctx.k
     n = len(ix.ds)
 

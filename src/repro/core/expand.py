@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pyspark.sql.functions as F
 from py4j.protocol import Py4JJavaError
 from pyspark.errors.exceptions.captured import CapturedException
@@ -153,11 +153,13 @@ def make_frontier(
 ) -> DataFrame:
     """Initial frontier: one single-vertex partial result per vertex.
 
-    Built from a pandas frame over Arrow: a one-row frontier built from a
-    Python list made its first depth take 0.43-0.54 s instead of
-    0.16-0.19 s (warm, local[4] on 4 vCPUs, DESIGN.md §7)."""
+    Built from an Arrow table, a local relation whatever the session's
+    Arrow setting (as the index view, ``repro.core.index``): a one-row
+    frontier built from a Python list made its first depth take
+    0.43-0.54 s instead of 0.16-0.19 s over Arrow (warm, local[4] on
+    4 vCPUs, DESIGN.md §7)."""
     df = spark.createDataFrame(
-        pd.DataFrame({"last": np.asarray(vertices, dtype=np.int64)}), schema="last long"
+        pa.table({"last": np.asarray(vertices, dtype=np.int64)}), schema="last long"
     ).select(F.array(F.col("last")).alias("path"), "last")
     return constraints.init_frontier(df)
 
@@ -173,7 +175,6 @@ def expand(
     end_pos: int,
     budget_col: str | None,
     pre: bool = True,
-    dedupe: bool = True,
     forbid: int | None = None,
     limit: TimeLimit | None = None,
     row_cap: int | None = None,
@@ -225,9 +226,7 @@ def expand(
             (
                 (F.col(budget_col) <= budget) if (not pre and budget_col is not None) else F.lit(True)
             ).alias("_valid"),
-            (
-                ~F.array_contains(cand["path"], e["dst"]) if dedupe else F.lit(True)
-            ).alias("_fresh"),
+            (~F.array_contains(cand["path"], e["dst"])).alias("_fresh"),
             (
                 (e["dst"] != F.lit(int(forbid))) if forbid is not None else F.lit(True)
             ).alias("_allowed"),

@@ -10,8 +10,8 @@ and the bushy plan cut at i* (T_JOIN), and execute the cheaper one.
 from the paper's calibration procedure (§3.2: "test tau from 10, 100, …
 until finding tau results takes longer than join-plan optimisation")
 when the full estimator ran as Spark jobs costing seconds.  Both
-estimators now run on the driver over one collect of the index edges (at
-most one Spark job per query), so the gate saves about a millisecond of
+estimators now run on the driver over the index arrays the context built
+with the index (no Spark job), so the gate saves about a millisecond of
 planning; it stays because it keeps light queries off the join plan.
 A probe without the gate (perfbench mixed-k4 seeds 1–3, the first 4
 timed queries of each, warm session, 2 reps) had Eq. 1 pick IDX-JOIN

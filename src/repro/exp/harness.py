@@ -15,8 +15,10 @@ and response time then follow the paper's definitions:
   the paths found so far and its query time is set to the limit (§7.1);
 * throughput   = #results found / query time at termination;
 * response time = time from query start to the first ``response_bar``
-  results — reported for the DFS methods only (the join methods must
-  finish both halves first, exactly the paper's argument for Table 3).
+  results.  A join method must finish both halves first (exactly the
+  paper's argument for Table 3), so its response time is its total time,
+  and none if it timed out; a DFS that timed out keeps the time it
+  reached the bar.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from repro.core.baselines import bc_dfs, bc_join
 from repro.core.context import build_context
 from repro.core.enumerate import idx_dfs, idx_join
 from repro.core.estimator import full_estimate
-from repro.core.index import INDEX_EDGE_BYTES
+from repro.core.index import index_size_bytes
 from repro.core.optimizer import path_enum, pathenum_cut
 from repro.graphs.queries import Query
 
@@ -36,7 +38,6 @@ ALGOS = ("BC-DFS", "BC-JOIN", "IDX-DFS", "IDX-JOIN", "PathEnum")
 TIMEOUT_S = 30.0  # per-query time limit (the paper's 120 s, scaled; DESIGN.md §4)
 ROW_CAP = 2_000_000  # partial results per frontier before a query is cut off
 RESPONSE_BAR = 100  # response time = time to the first RESPONSE_BAR results
-DFS_ALGOS = ("BC-DFS", "IDX-DFS")  # the ones with a meaningful response time
 
 
 @dataclass
@@ -146,12 +147,8 @@ def _run_one(
     timed_out = res.timed_out
     if timed_out:
         query_s = max(query_s, timeout_s)  # paper: clamp to the time limit
-    response_s = None
-    if res.response_s is not None and not timed_out:
-        response_s = prep_s + opt_s + res.response_s
-    elif algo in DFS_ALGOS and res.response_s is not None:
-        # a timed-out DFS query may still have reached the bar early.
-        response_s = prep_s + opt_s + res.response_s
+    # a timed-out DFS may still have reached the bar; a timed-out join has not.
+    response_s = None if res.response_s is None else prep_s + opt_s + res.response_s
     return QueryStats(
         graph=graph_name,
         qid=qid,
@@ -170,7 +167,7 @@ def _run_one(
         edges_accessed=res.edges_accessed,
         n_index_edges=ctx.n_index_edges,
         n_barrier_edges=ctx.n_barrier_edges,
-        index_mb=ctx.n_index_edges * INDEX_EDGE_BYTES / 2**20,
+        index_mb=index_size_bytes(ctx.n_index_edges) / 2**20,
         partial_mb=res.partial_mb,
         method_chosen=method_chosen,
     )

@@ -26,9 +26,9 @@ loop ends at the first level that reaches no new vertex, or at the hop
 constraint ``k`` — distances larger than k are useless to the index and
 are never computed.
 
-The finished table is built once on the driver.  Its Spark view is made
-from that pandas frame over Arrow and carries it as ``driver_table``, so
-the planner reads the distances without a Spark job.
+The finished table is a pandas frame on the driver, sorted by ``v``;
+nothing downstream needs it in Spark: the index build
+(``repro.core.index``) looks distances up in it with ``searchsorted``.
 
 Scale limit (DESIGN.md §7): the ``IN`` list holds one level's newly
 reached vertices, at most |V| (2,500 in perfbench).  A frontier of
@@ -42,7 +42,7 @@ from functools import reduce
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,18 @@ class BfsSpec:
 
 
 def bounded_bfs(
-    spark: SparkSession,
     edges: DataFrame,
     specs: list[BfsSpec],
     max_depth: int,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Run all ``specs`` simultaneously, bounded at ``max_depth`` hops.
 
-    Returns a DataFrame ``(v: long, <tag>: int, ...)``, one distance
-    column per spec, with a row for every vertex within ``max_depth`` of
-    some spec's root (roots at dist 0); a distance is NULL where its tag
-    did not reach the vertex.  The same table as a pandas frame, sorted
-    by ``v`` with NA for NULL, is the returned view's ``driver_table``.
-    Each level launches one Spark job; the loop stops at the first level
-    that reaches no new vertex.
+    Returns a pandas frame ``(v: int64, <tag>: Int32, ...)`` sorted by
+    ``v``, one distance column per spec, with a row for every vertex
+    within ``max_depth`` of some spec's root (roots at dist 0); a
+    distance is NA where its tag did not reach the vertex.  Each level
+    launches one Spark job; the loop stops at the first level that
+    reaches no new vertex.
     """
     # levels[i][d]: the vertices tag i reached first at distance d.
     levels = [[np.array([sp.root], dtype=np.int64)] for sp in specs]
@@ -107,43 +105,38 @@ def bounded_bfs(
             at = np.searchsorted(ids, vs)
             dist[at], missing[at] = d, False
         table[sp.tag] = pd.arrays.IntegerArray(dist, missing)
-    schema = ", ".join(["v long", *(f"{sp.tag} int" for sp in specs)])
-    view = spark.createDataFrame(table, schema=schema)
-    view.driver_table = table
-    return view
+    return table
 
 
 def distance_table(
-    spark: SparkSession,
     edges: DataFrame,
     s: int,
     t: int,
     k: int,
-) -> DataFrame:
+) -> pd.DataFrame:
     """The index's distance table ``(v, ds, dt)`` for q(s,t,k).
 
-    Missing distances (unreachable within k hops) are NULL; downstream
-    index filters treat NULL as "outside the index", which is exactly the
-    paper's pruning semantics.
+    Missing distances (unreachable within k hops) are NA; the index
+    build reads NA as "outside the index", which is exactly the paper's
+    pruning semantics.
     """
     specs = [
         BfsSpec("ds", s, excluded=t, reverse=False),
         BfsSpec("dt", t, excluded=s, reverse=True),
     ]
-    return bounded_bfs(spark, edges, specs, k)
+    return bounded_bfs(edges, specs, k)
 
 
 def full_distance_table(
-    spark: SparkSession,
     edges: DataFrame,
     s: int,
     t: int,
     k: int,
-) -> DataFrame:
+) -> pd.DataFrame:
     """The barrier baseline's full-graph distance table ``(v, dsf, dtf)``
-    for q(s,t,k); NULL as in :func:`distance_table`."""
+    for q(s,t,k); NA as in :func:`distance_table`."""
     specs = [
         BfsSpec("dsf", s, excluded=None, reverse=False),
         BfsSpec("dtf", t, excluded=None, reverse=True),
     ]
-    return bounded_bfs(spark, edges, specs, k)
+    return bounded_bfs(edges, specs, k)

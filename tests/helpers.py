@@ -90,6 +90,14 @@ def py_bfs(
     return dist
 
 
+def table_rows(table: pd.DataFrame) -> list[dict]:
+    """A distance table's rows as dicts of Python ints, None for NA."""
+    return [
+        {c: None if pd.isna(x) else int(x) for c, x in r.items()}
+        for r in table.astype(object).to_dict("records")
+    ]
+
+
 _CTX_CACHE: dict[tuple, QueryContext] = {}
 
 

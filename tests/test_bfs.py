@@ -1,7 +1,6 @@
 """Distributed bounded BFS vs. the pure-Python reference."""
 from __future__ import annotations
 
-import pandas as pd
 import pytest
 
 from repro.core.context import build_context
@@ -17,12 +16,13 @@ from tests.helpers import (
     py_bfs,
     random_graph,
     random_query,
+    table_rows,
 )
 
 
 def _spark_dists(spark, edges, spec: BfsSpec, depth: int) -> dict[int, int]:
-    out = bounded_bfs(spark, edges_df(spark, edges), [spec], depth)
-    return {r["v"]: r[spec.tag] for r in out.collect()}
+    out = bounded_bfs(edges_df(spark, edges), [spec], depth)
+    return {r["v"]: r[spec.tag] for r in table_rows(out)}
 
 
 def test_line_forward(spark):
@@ -66,12 +66,11 @@ def test_unreachable_absent(spark):
 def test_multi_tag_independent(spark):
     edges = [(0, 1), (1, 2), (2, 0)]
     out = bounded_bfs(
-        spark,
         edges_df(spark, edges),
         [BfsSpec("a", 0), BfsSpec("b", 2, reverse=True)],
         5,
     )
-    rows = {(tag, r["v"]): r[tag] for r in out.collect() for tag in ("a", "b")}
+    rows = {(tag, r["v"]): r[tag] for r in table_rows(out) for tag in ("a", "b")}
     assert rows[("a", 0)] == 0 and rows[("a", 2)] == 2
     assert rows[("b", 2)] == 0 and rows[("b", 0)] == 2
 
@@ -103,11 +102,11 @@ def test_level_loop_stops_on_empty_level(spark):
     edges = edges_df(spark, LINE)
     spec = [BfsSpec("x", 0)]
     jobs = {
-        d: jobs_launched(spark, lambda d=d: bounded_bfs(spark, edges, spec, d))
+        d: jobs_launched(spark, lambda d=d: bounded_bfs(edges, spec, d))
         for d in (4, 5, 50)
     }
     assert jobs[5] == jobs[50] > jobs[4]
-    rows = {d: sorted(bounded_bfs(spark, edges, spec, d).collect()) for d in (5, 50)}
+    rows = {d: table_rows(bounded_bfs(edges, spec, d)) for d in (5, 50)}
     assert rows[50] == rows[5]
 
 
@@ -120,29 +119,27 @@ def test_one_spark_job_per_level(spark):
     two = [BfsSpec("x", 0), BfsSpec("y", 4, reverse=True)]
     for depth in (1, 2, 3, 4, 5, 50):
         want = min(depth, 5)
-        assert jobs_launched(spark, lambda: bounded_bfs(spark, edges, one, depth)) == want
-        assert jobs_launched(spark, lambda: bounded_bfs(spark, edges, two, depth)) == want
+        assert jobs_launched(spark, lambda: bounded_bfs(edges, one, depth)) == want
+        assert jobs_launched(spark, lambda: bounded_bfs(edges, two, depth)) == want
 
 
-def test_driver_table_is_the_view(spark):
-    """The view's driver copy holds the same rows, sorted by vertex, with
-    NA where the view has NULL."""
+def test_table_sorted_with_na(spark):
+    """The table is a pandas frame sorted by vertex, NA where a tag did
+    not reach the vertex."""
     edges = edges_df(spark, [(0, 1), (1, 2), (3, 2)])
-    view = bounded_bfs(spark, edges, [BfsSpec("a", 0), BfsSpec("b", 3)], 5)
-    table = view.driver_table
-    assert list(table.columns) == view.columns == ["v", "a", "b"]
+    table = bounded_bfs(edges, [BfsSpec("a", 0), BfsSpec("b", 3)], 5)
+    assert list(table.columns) == ["v", "a", "b"]
     assert table["v"].is_monotonic_increasing
-    got = [tuple(None if x is pd.NA else x for x in r) for r in table.itertuples(index=False)]
-    assert got == sorted(tuple(r) for r in view.collect())
+    got = [tuple(r.values()) for r in table_rows(table)]
     assert got == [(0, 0, None), (1, 1, None), (2, 2, 1), (3, None, 0)]
 
 
 def test_distance_table_columns_and_semantics(spark):
     edges = edges_df(spark, PAPER_EDGES)
-    dt = distance_table(spark, edges, 0, 1, 4)
-    rows = {r["v"]: r for r in dt.collect()}
+    dt = distance_table(edges, 0, 1, 4)
+    rows = {r["v"]: r for r in table_rows(dt)}
     assert set(dt.columns) == {"v", "ds", "dt"}
-    assert set(full_distance_table(spark, edges, 0, 1, 4).columns) == {"v", "dsf", "dtf"}
+    assert set(full_distance_table(edges, 0, 1, 4).columns) == {"v", "dsf", "dtf"}
     # reference: ds excludes expanding through t=1, dt reverse excludes s=0
     ds_ref = py_bfs(PAPER_EDGES, 0, excluded=1, max_depth=4)
     dt_ref = py_bfs(PAPER_EDGES, 1, excluded=0, reverse=True, max_depth=4)
@@ -156,8 +153,8 @@ def test_distance_table_full_vs_restricted(spark):
     # with the exclusion, some distances can only grow
     edges = [(0, 2), (2, 1), (0, 1), (1, 3), (3, 2)]
     e = edges_df(spark, edges)
-    rows = {r["v"]: r for r in distance_table(spark, e, 0, 1, 4).collect()}
-    full = {r["v"]: r for r in full_distance_table(spark, e, 0, 1, 4).collect()}
+    rows = {r["v"]: r for r in table_rows(distance_table(e, 0, 1, 4))}
+    full = {r["v"]: r for r in table_rows(full_distance_table(e, 0, 1, 4))}
     for v, r in rows.items():
         f = full.get(v)
         if r["ds"] is not None and f is not None and f["dsf"] is not None:
@@ -203,15 +200,15 @@ def test_all_four_distances_match_reference(spark, case):
     e = edges_df(spark, edges)
     ctx = build_context(spark, e, s, t, k)
     try:
-        rows = ctx.dist.collect()
-        full = full_distance_table(spark, e, s, t, k).collect()
+        rows = table_rows(ctx.dist)
+        full = table_rows(full_distance_table(e, s, t, k))
         got = {c: {r["v"]: r[c] for r in rows if r[c] is not None} for c in ("ds", "dt")}
         got |= {c: {r["v"]: r[c] for r in full if r[c] is not None} for c in ("dsf", "dtf")}
         assert got == want
         # the barrier edges carry the same full-graph distances.
         for r in ctx.barrier_edges.collect():
-            for end in ("src", "dst"):
-                assert r[f"dsf_{end}"] == want["dsf"][r[end]]
-                assert r[f"dtf_{end}"] == want["dtf"][r[end]]
+            assert r["dsf_src"] == want["dsf"][r["src"]]
+            assert r["dtf_src"] == want["dtf"][r["src"]]
+            assert r["dtf_dst"] == want["dtf"][r["dst"]]
     finally:
         ctx.unpersist()

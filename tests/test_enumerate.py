@@ -175,7 +175,7 @@ def test_plans_do_pinned_work(spark, name, edges, s, t, k):
     "plan,jobs",
     [
         (lambda ctx: idx_dfs(ctx), 8),
-        (lambda ctx: idx_join(ctx, 2), 14),
+        (lambda ctx: idx_join(ctx, 2), 12),
         (lambda ctx: bc_dfs(ctx), 8),
         (lambda ctx: bc_join(ctx), 12),
         (lambda ctx: idx_dfs(ctx, timeout_s=0.0), 0),
@@ -195,11 +195,11 @@ def test_build_context_spark_jobs(spark):
     dsf/dtf BFS and no barrier build until a BC-* plan asks for it."""
     edges = edges_df(spark, PAPER_EDGES)
     box = []
-    assert jobs_launched(spark, lambda: box.append(build_context(spark, edges, 0, 1, 4))) == 7
+    assert jobs_launched(spark, lambda: box.append(build_context(spark, edges, 0, 1, 4))) == 5
     ctx = box[0]
     try:
         assert (ctx.n_barrier_edges, ctx.barrier_s) == (0, 0.0)
-        assert jobs_launched(spark, lambda: ctx.barrier_edges) == 6
+        assert jobs_launched(spark, lambda: ctx.barrier_edges) == 5
         assert ctx.n_barrier_edges == 12 and ctx.barrier_s > 0
         assert jobs_launched(spark, lambda: ctx.barrier_edges) == 0
     finally:

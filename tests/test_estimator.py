@@ -24,6 +24,7 @@ from tests.helpers import (
     jobs_launched,
     py_bfs,
     random_query,
+    table_rows,
 )
 
 CASES = [
@@ -136,11 +137,12 @@ def test_preliminary_positive_when_results_exist(spark):
 
 
 def test_preliminary_cached(spark):
+    """Eq. 5 reads the context's index arrays: a repeat call is equal and
+    no call launches a Spark job."""
     ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
-    a = preliminary_estimate(ctx)
-    assert ctx.gamma  # cached
-    b = preliminary_estimate(ctx)
-    assert a == b
+    out = []
+    assert jobs_launched(spark, lambda: out.append(preliminary_estimate(ctx))) == 0
+    assert preliminary_estimate(ctx) == out[0]
 
 
 def test_preliminary_matches_reference(spark):
@@ -148,7 +150,7 @@ def test_preliminary_matches_reference(spark):
     ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
     k = ctx.k
     idx = ctx.index_edges.collect()
-    dist = {r["v"]: r for r in ctx.dist.collect()}
+    dist = {r["v"]: r for r in table_rows(ctx.dist)}
     t_hat_ref, prod = 0.0, 1.0
     for j in range(k):
         cj = [
@@ -182,15 +184,13 @@ def test_no_result_graph(spark):
 
 
 def test_planning_collects_the_index_once(spark):
-    """Both estimators share one collect of the index edges (the distance
-    table is already on the driver): at most one Spark job for a fresh
-    context, none once it is cached."""
+    """Both estimators read the index arrays the context built with the
+    index: no Spark job, even on a fresh context."""
     ctx = build_context(spark, edges_df(spark, PAPER_EDGES), 0, 1, 4)
 
     def plan():
         preliminary_estimate(ctx)
         full_estimate(ctx)
 
-    assert jobs_launched(spark, plan) <= 1
     assert jobs_launched(spark, plan) == 0
     ctx.unpersist()

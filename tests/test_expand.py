@@ -1,5 +1,5 @@
 """Unit tests for the shared expansion engine (timeouts, row caps,
-response bar, metrics, walk mode)."""
+response bar, metrics)."""
 from __future__ import annotations
 
 import pytest
@@ -50,12 +50,6 @@ def test_emitted_per_depth_matches_length_histogram(ctx):
         by_len[p.count("-")] = by_len.get(p.count("-"), 0) + 1
     for d in stats.depth_stats:
         assert d.emitted == by_len.get(d.pos, 0)
-
-
-def test_walk_mode_no_dedupe(ctx):
-    res, _, stats = _run(ctx, dedupe=False)
-    got = {po.path_str(r["path"]) for r in res.collect()}
-    assert got == po.python_walks(PAPER_EDGES, 0, 1, 4)
 
 
 def test_timeout_flag(ctx):

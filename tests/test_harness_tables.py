@@ -7,10 +7,10 @@ import pytest
 
 from repro import pathoracle as po
 from repro.exp import tables as T
-from repro.exp.harness import ALGOS, run_query_set
+from repro.exp.harness import ALGOS, _run_one, run_query_set
 from repro.graphs import generators as G
 from repro.graphs.queries import Query, generate_queries
-from tests.helpers import edges_df, edges_pdf, random_graph
+from tests.helpers import PAPER_EDGES, cached_ctx, edges_df, edges_pdf, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +144,17 @@ def test_sci_and_mean_helpers():
     assert T._sci(1234.5) == "1.23e+03"
     assert math.isnan(T._mean([]))
     assert T._mean([1.0, 3.0]) == 2.0
+
+
+def test_timed_out_dfs_keeps_its_response_time(spark):
+    """A DFS cut off by the row cap after reaching the response bar reports
+    its response time, run alone or chosen by PathEnum."""
+    ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
+    rows = {
+        algo: _run_one(ctx, "paper", 0, algo, timeout_s=60.0, row_cap=2, response_bar=1)
+        for algo in ("IDX-DFS", "PathEnum")
+    }
+    assert rows["PathEnum"].method_chosen == "IDX-DFS"
+    for r in rows.values():
+        assert r.timed_out
+        assert r.response_s is not None and r.response_s <= r.query_s

@@ -9,7 +9,12 @@ import pytest
 from repro import pathoracle as po
 from repro.core import relations as R
 from repro.core.index import c_i, index_size_bytes
+from tests.test_enumerate import ALL_CASES
 from tests.helpers import PAPER_EDGES, cached_ctx, edges_df, py_bfs, random_graph
+
+
+def _c_i(ctx, i: int) -> set[int]:
+    return set(ctx.index.ids[c_i(ctx.index, i, ctx.k)].tolist())
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +56,7 @@ def test_proposition_4_3(ctx):
     """Every vertex at position i of a valid path is in C_i."""
     k = ctx.k
     paths = po.python_paths(PAPER_EDGES, 0, 1, k)
-    parts = [
-        {r["v"] for r in c_i(ctx.dist, i, k).collect()} for i in range(k + 1)
-    ]
+    parts = [_c_i(ctx, i) for i in range(k + 1)]
     for p in paths:
         vs = [int(x) for x in p.split("-")]
         for i, v in enumerate(vs):
@@ -71,8 +74,8 @@ def test_every_path_edge_in_index(ctx):
 
 def test_c0_and_ck(ctx):
     k = ctx.k
-    assert {r["v"] for r in c_i(ctx.dist, 0, k).collect()} == {ctx.s}
-    assert {r["v"] for r in c_i(ctx.dist, k, k).collect()} == {ctx.t}
+    assert _c_i(ctx, 0) == {ctx.s}
+    assert _c_i(ctx, k) == {ctx.t}
 
 
 def test_dangling_vertex_excluded(ctx):
@@ -121,13 +124,15 @@ def test_barrier_superset_of_index(ctx):
 
 def test_barrier_rule(ctx):
     k = ctx.k
+    dsf = py_bfs(PAPER_EDGES, 0, max_depth=k)
+    dtf = py_bfs(PAPER_EDGES, 1, reverse=True, max_depth=k)
     for r in ctx.barrier_edges.collect():
         assert r["dsf_src"] + r["dtf_src"] <= k
-        assert r["dsf_dst"] + r["dtf_dst"] <= k
+        assert dsf[r["dst"]] + r["dtf_dst"] <= k
 
 
 def test_index_size_accounting(ctx):
-    assert index_size_bytes(ctx.n_index_edges) == ctx.n_index_edges * 48
+    assert index_size_bytes(ctx.n_index_edges) == ctx.n_index_edges * 40
     assert ctx.n_index_edges == len(_idx_edges(ctx))
 
 
@@ -139,3 +144,27 @@ def test_extra_columns_pass_through(spark):
     assert "weight" in ctx2.index_edges.columns
     assert "weight" in ctx2.barrier_edges.columns
     ctx2.unpersist()
+
+
+@pytest.mark.parametrize("name,edges,s,t,k", ALL_CASES, ids=[c[0] for c in ALL_CASES])
+def test_view_rows_are_the_arrays(spark, name, edges, s, t, k):
+    """The Spark view the enumerators join against and the arrays the
+    planner reads hold the same edges with the same distances.  The view
+    is a local relation, also when it is empty (an empty pandas frame
+    would become a Python RDD)."""
+    ctx = cached_ctx(spark, edges, s, t, k)
+    ix = ctx.index
+    assert ctx.index_edges.isLocal()
+    cols = ("src", "dst", "ds_src", "dt_src", "dt_dst")
+    got = sorted(tuple(r) for r in ctx.index_edges.select(*cols).collect())
+    want = sorted(
+        zip(
+            ix.ids[ix.src].tolist(),
+            ix.ids[ix.dst].tolist(),
+            ix.ds_src.tolist(),
+            ix.dt_src.tolist(),
+            ix.dt_dst.tolist(),
+        )
+    )
+    assert got == want
+    assert ctx.n_index_edges == len(want)
