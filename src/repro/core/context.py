@@ -1,18 +1,20 @@
 """Per-query context: distances, index edges and barrier edges for q(s,t,k).
 
 Every enumerator (IDX-DFS, IDX-JOIN, BC-DFS, BC-JOIN, PathEnum) consumes a
-:class:`QueryContext`.  :func:`build_context` runs the two-tag ``ds``/``dt``
-BFS (one Spark job per level) into a distance table on the driver and
-builds the index from it with one edge scan (``repro.core.index``): the
-context keeps the index both as the Spark view the enumerators join
-against and as the driver arrays the planner reads, so planning launches
-no Spark job.  The BC-* baselines' state (the full-graph ``dsf``/``dtf``
-BFS and the barrier edges built from it by the same function) is built
-the first time a BC-* plan reads ``barrier_edges``, so PathEnum never pays
-for it.  The experiment harness charges each algorithm the measured
-preprocessing wall time it pays: ``bfs_s + index_s`` for IDX-* /
-PathEnum, ``barrier_s`` (its own BFS plus the barrier build) for BC-* —
-see DESIGN.md §7.
+:class:`QueryContext`.  :func:`build_context` runs the two-sided ``ds``/``dt``
+BFS (``repro.graphs.bfs``): ⌈k/2⌉ rounds, one Spark job each, collect the
+edges around s and t, and the driver computes the distance table from
+them.  Those edges hold every index edge, so the index is built from them
+on the driver with no further Spark job (``repro.core.index``): the
+context keeps it both as the Spark view the enumerators join against and
+as the driver arrays the planner reads, so planning launches no Spark job
+either.  The BC-* baselines' state (the full-graph ``dsf``/``dtf`` BFS and
+the barrier edges built from it by the same function, with one edge scan
+of its own) is built the first time a BC-* plan reads ``barrier_edges``,
+so PathEnum never pays for it.  The experiment harness charges each
+algorithm the measured preprocessing wall time it pays: ``bfs_s +
+index_s`` for IDX-* / PathEnum, ``barrier_s`` (its own BFS plus the
+barrier build) for BC-* — see DESIGN.md §7.
 """
 from __future__ import annotations
 
@@ -35,10 +37,10 @@ class QueryContext:
     s: int
     t: int
     k: int
-    dist: pd.DataFrame        # (v, ds, dt) sorted by v — NA = beyond k hops
+    dist: pd.DataFrame        # (v, ds, dt) sorted by v: ds+dt <= k, and s, t
     index_edges: DataFrame    # Algorithm 3's H as edges (see core.index)
     index: IndexArrays        # the same edges on the driver, read by the planner
-    bfs_s: float              # wall time of the ds/dt BFS
+    bfs_s: float              # wall time of the ds/dt BFS and its edge rounds
     index_s: float            # wall time of the index build
     n_barrier_edges: int = 0  # 0 until a BC-* plan builds the barrier edges
     barrier_s: float = 0.0    # wall time of the dsf/dtf BFS + barrier edges
@@ -79,13 +81,14 @@ def build_context(
     t: int,
     k: int,
 ) -> QueryContext:
-    """Run the ds/dt BFS and build the index edges."""
+    """Run the ds/dt BFS and build the index edges from the edge rows it
+    collected: ⌈k/2⌉ Spark jobs at most."""
     t0 = time.perf_counter()
-    dist = distance_table(edges, s, t, k)
+    dist, rows = distance_table(edges, s, t, k)
     bfs_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    index_edges, index = build_edge_set(edges, dist, s, t, k)
+    index_edges, index = build_edge_set(edges, dist, s, t, k, rows=rows)
     index_s = time.perf_counter() - t0
 
     return QueryContext(

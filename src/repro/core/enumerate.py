@@ -4,7 +4,8 @@ as two plans of one join enumerator.
 A query is the chain join ``Q = R_1 ⋈ … ⋈ R_k`` (paper §3.1), and a plan
 is a cut position.  The enumerator expands the prefix Q[0:cut] from s;
 when the prefix leaves partial results, it expands the suffix Q[cut:k]
-from their distinct cut vertices, hash-joins the two halves on the cut
+from their distinct cut vertices (collected by the prefix's last depth,
+so no job of their own), hash-joins the two halves on the cut
 vertex and filters non-simple tuples.  Results shorter than the cut
 surface directly from the prefix (they correspond to ``(t,t)``-padded
 tuples in the join model).
@@ -154,14 +155,18 @@ def _run_plan(
         n_ra = st_a.depth_stats[-1].frontier if st_a.depth_stats else 1
         timed_out = st_a.timed_out
         if not timed_out and n_ra:
-            # Suffix Q[cut:k] from each distinct cut vertex (Alg 6 l.3-5).
-            cut_vs = ra.select(F.col("last")).distinct()
-            sfx_frontier = cut_vs.select(F.array(F.col("last")).alias("path"), F.col("last"))
-            if acc_c:
-                sfx_frontier = sfx_frontier.withColumn("acc", F.lit(0.0))
+            # suffix-local accumulative state: emit-filter only after the join,
+            # on the combined value — so no emit/prune predicates here.
+            sfx_constraints = Constraints(accumulative=None) if acc_c is None else Constraints(
+                accumulative=type(acc_c)(
+                    emit_pred="acc IS NOT NULL", weight_col=acc_c.weight_col, init=0.0
+                )
+            )
+            # Suffix Q[cut:k] from each distinct cut vertex (Alg 6 l.3-5),
+            # collected by the prefix's last depth; before depth 1 it is s.
             sfx, _, st_b = expand(
                 spark,
-                sfx_frontier,
+                make_frontier(spark, st_a.last_vertices if cut else [s], sfx_constraints),
                 edges,
                 t=t,
                 k=k,
@@ -172,13 +177,7 @@ def _run_plan(
                 forbid=s,
                 limit=limit,
                 row_cap=row_cap,
-                # suffix-local accumulative state: emit-filter only after the join,
-                # on the combined value — so no emit/prune predicates here.
-                constraints=Constraints(accumulative=None) if acc_c is None else Constraints(
-                    accumulative=type(acc_c)(
-                        emit_pred="acc IS NOT NULL", weight_col=acc_c.weight_col, init=0.0
-                    )
-                ),
+                constraints=sfx_constraints,
             )
             stats.append(st_b)
             n_rb = st_b.total_emitted

@@ -21,10 +21,14 @@ Rows reaching ``t`` are emitted and never extended (Definition 2.1 bans
 interior s/t); the simple-path check is ``NOT array_contains(path,dst)``.
 Each level materialises exactly one eagerly localCheckpoint-ed candidate
 frame classified by a ``_cls`` column (emit / continue / pruned); an
-observation on that checkpoint counts each class in the same job, so a
-level costs the edge side's broadcast plus that one job, and still gives
-the per-depth counters the paper's response-time and Figure-6/Table-7
-metrics need.
+observation ahead of that checkpoint counts each class in the same job,
+and only then are the pruned rows dropped, so the checkpoint stores only
+the rows a later step reads.  A level costs the edge side's broadcast plus
+that one job, and still gives the per-depth counters the paper's
+response-time and Figure-6/Table-7 metrics need.  At ``end_pos`` the same
+observation also collects the distinct last vertices of the continuing
+rows: the join plans start their suffix from them
+(``repro.core.enumerate``).
 
 **Time limit.**  An enumeration runs inside one :class:`TimeLimit`: its
 Spark jobs carry a job tag of their own, and once the limit has passed a
@@ -132,6 +136,9 @@ class ExpandStats:
     row_capped: bool = False
     response_s: float | None = None   # time to first ``response_bar`` results
     elapsed_s: float = 0.0
+    # the distinct ``last`` of the frontier at ``end_pos``, counted in that
+    # depth's job; None when the expansion stopped before ``end_pos``.
+    last_vertices: list[int] | None = None
 
     @property
     def total_accessed(self) -> int:
@@ -186,6 +193,7 @@ def expand(
     Returns ``(results, final_frontier, stats)``: ``results`` are paths
     that reached ``t`` (with constraint columns if any), ``final_frontier``
     the un-emitted partial results at ``end_pos`` (the join methods' R_a).
+    ``stats.last_vertices`` holds the distinct ``last`` of that frontier.
     A passed ``limit`` (or a cancelled depth under it) and ``row_cap``
     turn a runaway query into a flagged partial answer: the results and
     frontier of the depths that completed, with ``stats.timed_out`` set.
@@ -259,12 +267,17 @@ def expand(
             .otherwise(F.lit(_PRUNED)),
         ).drop("_is_t", "_valid", "_fresh", "_allowed")
         counts = Observation()
-        cand = cand.observe(
-            counts,
+        metrics = [
             F.count(F.lit(1)).alias("accessed"),
             F.count_if(F.col("_cls") == _EMIT).alias("emitted"),
             F.count_if(F.col("_cls") == _CONTINUE).alias("frontier"),
-        )
+        ]
+        if pos == end_pos:
+            metrics.append(
+                F.collect_set(F.when(F.col("_cls") == _CONTINUE, F.col("last"))).alias("lasts")
+            )
+        # counted before the filter: the checkpoint keeps no pruned row.
+        cand = cand.observe(counts, *metrics).where(F.col("_cls") != _PRUNED)
         try:
             cand = cand.localCheckpoint(eager=True)
         except SPARK_ERRORS:
@@ -275,6 +288,8 @@ def expand(
         # read only now: the metrics of a cancelled job never arrive.
         cnts = counts.get
         accessed, n_emit, n_frontier = cnts["accessed"], cnts["emitted"], cnts["frontier"]
+        if pos == end_pos:
+            stats.last_vertices = sorted(cnts["lasts"])
 
         if n_emit:
             results.append(

@@ -20,21 +20,25 @@ partitions ``C_i`` (paper ``I(i)``) come from the distance table.
 
 :func:`build_edge_set` builds the index, and the BC-* baselines' barrier
 edges (Peng et al., Appendix D: both endpoints satisfy
-``S(s,v|G) + S(v,t|G) <= k``), from a distance table on the driver.
-Every kept edge leaves a vertex of X, so ONE Spark job — a scan of the
-edges with ``src IN (X)``, collected with ``toPandas()`` — holds them
-all; both endpoints' distances are looked up in the table with
-``searchsorted`` and the rules run in NumPy.  The same arrays give the
-planner's :class:`IndexArrays` and the Spark view the enumerators join
-against: ``createDataFrame`` over an Arrow table with an explicit schema,
-a local relation whatever the session's Arrow setting and for zero rows
-too.  An empty pandas frame takes Spark's row path instead: a Python RDD,
-against which a broadcast join and checkpoint took 2.7 s the first time
-and 0.4 s after, against 0.6 and 0.05 s over Arrow (perfbench session,
-local[4] on 4 vCPUs; perfbench's k = 1 warm-up query has an empty index).
+``S(s,v|G) + S(v,t|G) <= k``), from a distance table and edge rows on
+the driver.  For the index, the rows are the ones the context's
+two-sided BFS rounds collected (``repro.graphs.bfs``): they hold every
+edge the rules keep, so the index costs no Spark job.  The barrier
+edges need a scan of their own — an edge whose endpoints both lie deep
+in X satisfies the barrier rule without being collected — ONE Spark
+job: the edges with ``src IN (X)``, collected with ``toPandas()``.  Both endpoints' distances are looked up in the table
+with ``searchsorted`` and the rules run in NumPy.  The same arrays give
+the planner's :class:`IndexArrays` and the Spark view the enumerators
+join against: ``createDataFrame`` over an Arrow table with an explicit
+schema, a local relation whatever the session's Arrow setting and for
+zero rows too.  An empty pandas frame takes Spark's row path instead: a
+Python RDD, against which a broadcast join and checkpoint took 2.7 s the
+first time and 0.4 s after, against 0.6 and 0.05 s over Arrow (perfbench
+session, local[4] on 4 vCPUs; perfbench's k = 1 warm-up query has an
+empty index).
 
-Scale limit (DESIGN.md §7): X holds at most |V| ids, the same ``IN``
-list limit as the BFS.
+Scale limit (DESIGN.md §7): the barrier's X holds at most |V| ids, the
+same ``IN`` list limit as the BFS rounds.
 """
 from __future__ import annotations
 
@@ -78,15 +82,18 @@ def build_edge_set(
     k: int,
     *,
     barrier: bool = False,
+    rows: pd.DataFrame | None = None,
 ) -> tuple[DataFrame, IndexArrays]:
     """The index (``table`` is ``(v, ds, dt)``) or, with ``barrier``, the
     barrier edges (``table`` is ``(v, dsf, dtf)``) of q(s,t,k), as a
-    Spark view and as driver arrays; one Spark job.
+    Spark view and as driver arrays.
 
-    * index:   X = {v : ds+dt <= k, v != t}; keep ``ds_src + 1 + dt_dst <= k``
-      and ``dst != s``;
-    * barrier: X = {v : dsf+dtf <= k}; keep ``dst`` in X.
+    * index:   X = {v : ds+dt <= k, v != t}; keep ``src`` in X,
+      ``ds_src + 1 + dt_dst <= k`` and ``dst != s``;
+    * barrier: X = {v : dsf+dtf <= k}; keep ``src`` and ``dst`` in X.
 
+    ``rows`` are edge rows of ``edges`` that hold every kept edge as often
+    as ``edges`` does; without them, one Spark job scans ``src IN (X)``.
     The view's columns are ``src, dst, <ds>_src, <dt>_src, <dt>_dst`` and
     the edges' other columns.
     """
@@ -98,17 +105,18 @@ def build_edge_set(
     in_x = ds + dt <= k
     if not barrier:
         in_x &= ids != t
-    x = ",".join(map(str, ids[in_x].tolist()))
-    rows = edges.where(f"src IN ({x})" if x else "false").toPandas()
+    if rows is None:
+        x = ",".join(map(str, ids[in_x].tolist()))
+        rows = edges.where(f"src IN ({x})" if x else "false").toPandas()
 
-    src = np.searchsorted(ids, rows["src"].to_numpy(dtype=np.int64))
+    src, src_known = _lookup(ids, rows["src"].to_numpy(dtype=np.int64))
     dst_id = rows["dst"].to_numpy(dtype=np.int64)
-    dst = np.searchsorted(ids, dst_id).clip(max=len(ids) - 1)
-    known = ids[dst] == dst_id  # dst is in the table
+    dst, dst_known = _lookup(ids, dst_id)
+    keep = src_known & dst_known & in_x[src]
     if barrier:
-        keep = known & in_x[dst]
+        keep &= in_x[dst]
     else:
-        keep = known & (ds[src] + 1 + dt[dst] <= k) & (dst_id != s)
+        keep &= (ds[src] + 1 + dt[dst] <= k) & (dst_id != s)
 
     src, dst, rows = src[keep], dst[keep], rows[keep]
     arrays = IndexArrays(
@@ -147,6 +155,12 @@ def build_edge_set(
     )
     view = edges.sparkSession.createDataFrame(columns, schema=schema)
     return view, arrays
+
+
+def _lookup(ids: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``vs`` in the sorted ``ids`` and whether each is there."""
+    at = np.searchsorted(ids, vs).clip(max=len(ids) - 1)
+    return at, ids[at] == vs
 
 
 def c_i(ix: IndexArrays, i, k: int) -> np.ndarray:

@@ -1,6 +1,9 @@
-"""Distributed bounded BFS vs. the pure-Python reference."""
+"""The two-sided BFS: the driver BFS against the pure-Python reference
+over whole graphs, and the context's distance table — exact on the
+vertices with ds + dt <= k, plus s and t — against the same reference."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.context import build_context
@@ -20,56 +23,56 @@ from tests.helpers import (
 )
 
 
-def _spark_dists(spark, edges, spec: BfsSpec, depth: int) -> dict[int, int]:
-    out = bounded_bfs(edges_df(spark, edges), [spec], depth)
-    return {r["v"]: r[spec.tag] for r in table_rows(out)}
+def _bfs(edges, specs: list[BfsSpec], depth: int):
+    src, dst = (np.array([e[i] for e in edges], dtype=np.int64) for i in (0, 1))
+    return bounded_bfs(src, dst, specs, depth)
 
 
-def test_line_forward(spark):
-    d = _spark_dists(spark, LINE, BfsSpec("x", 0), 10)
+def _dists(edges, spec: BfsSpec, depth: int) -> dict[int, int]:
+    return {r["v"]: r[spec.tag] for r in table_rows(_bfs(edges, [spec], depth))}
+
+
+def test_line_forward():
+    d = _dists(LINE, BfsSpec("x", 0), 10)
     assert d == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
 
-def test_line_reverse(spark):
-    d = _spark_dists(spark, LINE, BfsSpec("x", 4, reverse=True), 10)
+def test_line_reverse():
+    d = _dists(LINE, BfsSpec("x", 4, reverse=True), 10)
     assert d == {4: 0, 3: 1, 2: 2, 1: 3, 0: 4}
 
 
-def test_depth_bound(spark):
-    d = _spark_dists(spark, LINE, BfsSpec("x", 0), 2)
+def test_depth_bound():
+    d = _dists(LINE, BfsSpec("x", 0), 2)
     assert d == {0: 0, 1: 1, 2: 2}
 
 
-def test_cycle(spark):
-    d = _spark_dists(spark, CYCLE6, BfsSpec("x", 0), 10)
+def test_cycle():
+    d = _dists(CYCLE6, BfsSpec("x", 0), 10)
     assert d == {i: i for i in range(6)}
 
 
-def test_excluded_reach_but_not_expand(spark):
+def test_excluded_reach_but_not_expand():
     # 0->1->2 and 0->3->2; excluding 1 must still reach 1 (dist 1) but 2
     # only via 3 (dist 2).
     edges = [(0, 1), (1, 2), (0, 3), (3, 2)]
-    d = _spark_dists(spark, edges, BfsSpec("x", 0, excluded=1), 5)
+    d = _dists(edges, BfsSpec("x", 0, excluded=1), 5)
     assert d == {0: 0, 1: 1, 3: 1, 2: 2}
     # now excluding 3: 2 is reached through 1 (same dist here)
     edges2 = [(0, 1), (1, 4), (4, 2), (0, 3), (3, 2)]
-    d2 = _spark_dists(spark, edges2, BfsSpec("x", 0, excluded=3), 5)
+    d2 = _dists(edges2, BfsSpec("x", 0, excluded=3), 5)
     assert d2 == {0: 0, 1: 1, 3: 1, 4: 2, 2: 3}
 
 
-def test_unreachable_absent(spark):
+def test_unreachable_absent():
     edges = [(0, 1), (2, 3)]
-    d = _spark_dists(spark, edges, BfsSpec("x", 0), 5)
+    d = _dists(edges, BfsSpec("x", 0), 5)
     assert d == {0: 0, 1: 1}
 
 
-def test_multi_tag_independent(spark):
+def test_multi_tag_independent():
     edges = [(0, 1), (1, 2), (2, 0)]
-    out = bounded_bfs(
-        edges_df(spark, edges),
-        [BfsSpec("a", 0), BfsSpec("b", 2, reverse=True)],
-        5,
-    )
+    out = _bfs(edges, [BfsSpec("a", 0), BfsSpec("b", 2, reverse=True)], 5)
     rows = {(tag, r["v"]): r[tag] for r in table_rows(out) for tag in ("a", "b")}
     assert rows[("a", 0)] == 0 and rows[("a", 2)] == 2
     assert rows[("b", 2)] == 0 and rows[("b", 0)] == 2
@@ -77,57 +80,53 @@ def test_multi_tag_independent(spark):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("reverse", [False, True])
-def test_random_graph_matches_reference(spark, seed, reverse):
+def test_random_graph_matches_reference(seed, reverse):
     pdf = random_graph(60, 3.0, seed)
     edges = list(pdf.itertuples(index=False, name=None))
     root = int(pdf.src.iloc[0])
-    got = _spark_dists(spark, edges, BfsSpec("x", root, reverse=reverse), 4)
+    got = _dists(edges, BfsSpec("x", root, reverse=reverse), 4)
     want = py_bfs(edges, root, reverse=reverse, max_depth=4)
     assert got == want
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_random_graph_excluded_matches_reference(spark, seed):
+def test_random_graph_excluded_matches_reference(seed):
     pdf = random_graph(50, 3.0, seed)
     edges = list(pdf.itertuples(index=False, name=None))
     root = int(pdf.src.iloc[0])
     excl = int(pdf.dst.iloc[0])
-    got = _spark_dists(spark, edges, BfsSpec("x", root, excluded=excl), 4)
+    got = _dists(edges, BfsSpec("x", root, excluded=excl), 4)
     want = py_bfs(edges, root, excluded=excl, max_depth=4)
     assert got == want
 
 
-def test_level_loop_stops_on_empty_level(spark):
-    # LINE from 0 reaches a new vertex at levels 1-4; level 5 is empty.
+def test_one_spark_job_per_round(spark):
+    """``build_context`` runs ⌈k/2⌉ rounds, one Spark job each, while a
+    side has vertices to scan (the paper example at k = 1..6), and the
+    index build launches none."""
+    edges = edges_df(spark, PAPER_EDGES)
+    for k in range(1, 7):
+        box = []
+        jobs = jobs_launched(spark, lambda: box.append(build_context(spark, edges, 0, 1, k)))
+        assert jobs == (k + 1) // 2
+        box[0].unpersist()
+
+
+def test_rounds_stop_when_no_side_has_vertices(spark):
+    """On LINE (s = 0, t = 4) the forward side reaches only t and the
+    reverse side only s at depth 4, so from k = 9 on (⌈k/2⌉ >= 5) the
+    rounds stop after 4 jobs, and every such k gives the same table."""
     edges = edges_df(spark, LINE)
-    spec = [BfsSpec("x", 0)]
-    jobs = {
-        d: jobs_launched(spark, lambda d=d: bounded_bfs(edges, spec, d))
-        for d in (4, 5, 50)
-    }
-    assert jobs[5] == jobs[50] > jobs[4]
-    rows = {d: table_rows(bounded_bfs(edges, spec, d)) for d in (5, 50)}
-    assert rows[50] == rows[5]
+    for k, want in ((7, 4), (8, 4), (9, 4), (50, 4)):
+        assert jobs_launched(spark, lambda: distance_table(edges, 0, 4, k)) == want
+    rows = {k: table_rows(distance_table(edges, 0, 4, k)[0]) for k in (9, 50)}
+    assert rows[50] == rows[9]
 
 
-def test_one_spark_job_per_level(spark):
-    """Each level is one Spark job for all tags together, and a run of d
-    levels launches d jobs: LINE reaches a new vertex at levels 1-4 and
-    nothing at level 5, so any depth from 5 on runs 5 levels."""
-    edges = edges_df(spark, LINE)
-    one = [BfsSpec("x", 0)]
-    two = [BfsSpec("x", 0), BfsSpec("y", 4, reverse=True)]
-    for depth in (1, 2, 3, 4, 5, 50):
-        want = min(depth, 5)
-        assert jobs_launched(spark, lambda: bounded_bfs(edges, one, depth)) == want
-        assert jobs_launched(spark, lambda: bounded_bfs(edges, two, depth)) == want
-
-
-def test_table_sorted_with_na(spark):
+def test_table_sorted_with_na():
     """The table is a pandas frame sorted by vertex, NA where a tag did
     not reach the vertex."""
-    edges = edges_df(spark, [(0, 1), (1, 2), (3, 2)])
-    table = bounded_bfs(edges, [BfsSpec("a", 0), BfsSpec("b", 3)], 5)
+    table = _bfs([(0, 1), (1, 2), (3, 2)], [BfsSpec("a", 0), BfsSpec("b", 3)], 5)
     assert list(table.columns) == ["v", "a", "b"]
     assert table["v"].is_monotonic_increasing
     got = [tuple(r.values()) for r in table_rows(table)]
@@ -136,7 +135,7 @@ def test_table_sorted_with_na(spark):
 
 def test_distance_table_columns_and_semantics(spark):
     edges = edges_df(spark, PAPER_EDGES)
-    dt = distance_table(edges, 0, 1, 4)
+    dt, _ = distance_table(edges, 0, 1, 4)
     rows = {r["v"]: r for r in table_rows(dt)}
     assert set(dt.columns) == {"v", "ds", "dt"}
     assert set(full_distance_table(edges, 0, 1, 4).columns) == {"v", "dsf", "dtf"}
@@ -153,7 +152,7 @@ def test_distance_table_full_vs_restricted(spark):
     # with the exclusion, some distances can only grow
     edges = [(0, 2), (2, 1), (0, 1), (1, 3), (3, 2)]
     e = edges_df(spark, edges)
-    rows = {r["v"]: r for r in table_rows(distance_table(e, 0, 1, 4))}
+    rows = {r["v"]: r for r in table_rows(distance_table(e, 0, 1, 4)[0])}
     full = {r["v"]: r for r in table_rows(full_distance_table(e, 0, 1, 4))}
     for v, r in rows.items():
         f = full.get(v)
@@ -189,7 +188,9 @@ DIST_CASES = {
 @pytest.mark.parametrize("case", sorted(DIST_CASES))
 def test_all_four_distances_match_reference(spark, case):
     """``ds``/``dt`` of the context and ``dsf``/``dtf`` of the BC build
-    (with and without the s/t exclusion) equal the Python BFS."""
+    (with and without the s/t exclusion) equal the Python BFS on every
+    vertex with ``ds + dt <= k`` (``dsf + dtf <= k``) and on s and t,
+    and each table holds exactly those vertices."""
     edges, s, t, k = DIST_CASES[case]()
     want = {
         "ds": py_bfs(edges, s, excluded=t, max_depth=k),
@@ -200,11 +201,16 @@ def test_all_four_distances_match_reference(spark, case):
     e = edges_df(spark, edges)
     ctx = build_context(spark, e, s, t, k)
     try:
-        rows = table_rows(ctx.dist)
-        full = table_rows(full_distance_table(e, s, t, k))
-        got = {c: {r["v"]: r[c] for r in rows if r[c] is not None} for c in ("ds", "dt")}
-        got |= {c: {r["v"]: r[c] for r in full if r[c] is not None} for c in ("dsf", "dtf")}
-        assert got == want
+        for table, (a, b) in (
+            (ctx.dist, ("ds", "dt")),
+            (full_distance_table(e, s, t, k), ("dsf", "dtf")),
+        ):
+            near = {v for v, d in want[a].items() if d + want[b].get(v, k + 1) <= k}
+            near |= {s, t}
+            rows = table_rows(table)
+            assert [r["v"] for r in rows] == sorted(near)
+            for c in (a, b):
+                assert {r["v"]: r[c] for r in rows} == {v: want[c].get(v) for v in near}
         # the barrier edges carry the same full-graph distances.
         for r in ctx.barrier_edges.collect():
             assert r["dsf_src"] == want["dsf"][r["src"]]

@@ -175,31 +175,34 @@ def test_plans_do_pinned_work(spark, name, edges, s, t, k):
     "plan,jobs",
     [
         (lambda ctx: idx_dfs(ctx), 8),
-        (lambda ctx: idx_join(ctx, 2), 12),
+        (lambda ctx: idx_join(ctx, 2), 11),
         (lambda ctx: bc_dfs(ctx), 8),
-        (lambda ctx: bc_join(ctx), 12),
+        (lambda ctx: bc_join(ctx), 11),
         (lambda ctx: idx_dfs(ctx, timeout_s=0.0), 0),
     ],
     ids=["IDX-DFS", "IDX-JOIN", "BC-DFS", "BC-JOIN", "IDX-DFS-timeout-0"],
 )
 def test_plan_spark_jobs(spark, plan, jobs):
     """Spark jobs per plan on the paper example: the left-deep plan runs
-    no suffix and no join, and a spent limit launches nothing."""
+    no suffix and no join, the join plans' suffix starts from the cut
+    vertices the prefix's last depth collected, and a spent limit
+    launches nothing."""
     ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
     ctx.barrier_edges  # the BC state is built on first use; count the plan alone
     assert jobs_launched(spark, lambda: plan(ctx)) == jobs
 
 
 def test_build_context_spark_jobs(spark):
-    """The context runs the ds/dt BFS and the index build only: no
-    dsf/dtf BFS and no barrier build until a BC-* plan asks for it."""
+    """The context runs the ⌈k/2⌉ ds/dt rounds and builds the index from
+    their rows: no dsf/dtf BFS and no barrier build until a BC-* plan asks
+    for it, which then runs its own ⌈k/2⌉ rounds and one edge scan."""
     edges = edges_df(spark, PAPER_EDGES)
     box = []
-    assert jobs_launched(spark, lambda: box.append(build_context(spark, edges, 0, 1, 4))) == 5
+    assert jobs_launched(spark, lambda: box.append(build_context(spark, edges, 0, 1, 4))) == 2
     ctx = box[0]
     try:
         assert (ctx.n_barrier_edges, ctx.barrier_s) == (0, 0.0)
-        assert jobs_launched(spark, lambda: ctx.barrier_edges) == 5
+        assert jobs_launched(spark, lambda: ctx.barrier_edges) == 3
         assert ctx.n_barrier_edges == 12 and ctx.barrier_s > 0
         assert jobs_launched(spark, lambda: ctx.barrier_edges) == 0
     finally:

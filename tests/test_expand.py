@@ -135,3 +135,15 @@ def test_max_frontier_cells(ctx):
     _, _, stats = _run(ctx)
     want = max((d.frontier * (d.pos + 1) for d in stats.depth_stats), default=0)
     assert stats.max_frontier_cells == want
+
+
+@pytest.mark.parametrize("end_pos", [1, 2, 3])
+def test_last_vertices_of_the_final_frontier(ctx, end_pos):
+    """The depth at ``end_pos`` collects the distinct last vertices of
+    the frontier it leaves; a run that stops earlier (here the row cap,
+    after depth 1) collects none."""
+    _, frontier, stats = _run(ctx, end_pos=end_pos)
+    assert stats.last_vertices == sorted({r["last"] for r in frontier.collect()})
+    _, _, stopped = _run(ctx, end_pos=end_pos, row_cap=0)
+    assert stopped.row_capped
+    assert (stopped.last_vertices is None) == (end_pos > 1)

@@ -9,8 +9,17 @@ import pytest
 from repro import pathoracle as po
 from repro.core import relations as R
 from repro.core.index import c_i, index_size_bytes
+from repro.core.context import build_context
+from tests.test_bfs import DIST_CASES
 from tests.test_enumerate import ALL_CASES
-from tests.helpers import PAPER_EDGES, cached_ctx, edges_df, py_bfs, random_graph
+from tests.helpers import (
+    PAPER_EDGES,
+    cached_ctx,
+    edges_df,
+    py_bfs,
+    random_graph,
+    random_query,
+)
 
 
 def _c_i(ctx, i: int) -> set[int]:
@@ -138,8 +147,6 @@ def test_index_size_accounting(ctx):
 
 def test_extra_columns_pass_through(spark):
     e = edges_df(spark, PAPER_EDGES).withColumn("weight", F.lit(1.5))
-    from repro.core.context import build_context
-
     ctx2 = build_context(spark, e, 0, 1, 4)
     assert "weight" in ctx2.index_edges.columns
     assert "weight" in ctx2.barrier_edges.columns
@@ -168,3 +175,58 @@ def test_view_rows_are_the_arrays(spark, name, edges, s, t, k):
     )
     assert got == want
     assert ctx.n_index_edges == len(want)
+
+
+def _algorithm_3(edges, s: int, t: int, k: int):
+    """Algorithm 3 from the whole-graph Python BFS: the vertices with
+    ``ds + dt <= k`` plus s and t with their distances, and the index
+    rows ``(src, dst, ds_src, dt_src, dt_dst)``, one per edge row."""
+    far = k + 1
+    ds = py_bfs(edges, s, excluded=t, max_depth=k)
+    dt = py_bfs(edges, t, excluded=s, reverse=True, max_depth=k)
+    near = sorted({v for v, d in ds.items() if d + dt.get(v, far) <= k} | {s, t})
+    dists = [(v, ds.get(v, far), dt.get(v, far)) for v in near]
+    rows = sorted(
+        (u, w, ds[u], dt[u], dt[w])
+        for u, w in edges
+        if u != t and u in ds and u in dt and ds[u] + dt[u] <= k
+        and w != s and w in dt and ds[u] + 1 + dt[w] <= k
+    )
+    return dists, rows
+
+
+def _index_cases():
+    for name in sorted(DIST_CASES):
+        yield pytest.param(DIST_CASES[name], id=name)
+    for seed in (0, 1, 2):
+        for k in range(1, 7):
+            yield pytest.param(
+                lambda seed=seed, k=k: (*random_query(60, 3.0, seed), k), id=f"rand{seed}-k{k}"
+            )
+    # (2, 1) is collected forward and reverse, (3, 4) reverse only.
+    yield pytest.param(
+        lambda: (PAPER_EDGES + [(2, 1), (3, 4)], 0, 1, 4), id="paper-duplicate-rows"
+    )
+
+
+@pytest.mark.parametrize("case", _index_cases())
+def test_index_is_algorithm_3(spark, case):
+    """The index built from the two-sided rounds' edge rows equals
+    Algorithm 3 over the whole graph: the same vertices and distances in
+    the arrays, and the same edge rows, duplicates included, in the
+    arrays and in the Spark view."""
+    edges, s, t, k = case()
+    want_dists, want_rows = _algorithm_3(edges, s, t, k)
+    ctx = build_context(spark, edges_df(spark, edges), s, t, k)
+    ix = ctx.index
+    assert list(zip(ix.ids.tolist(), ix.ds.tolist(), ix.dt.tolist())) == want_dists
+    arrays = zip(
+        ix.ids[ix.src].tolist(),
+        ix.ids[ix.dst].tolist(),
+        ix.ds_src.tolist(),
+        ix.dt_src.tolist(),
+        ix.dt_dst.tolist(),
+    )
+    assert sorted(arrays) == want_rows
+    cols = ("src", "dst", "ds_src", "dt_src", "dt_dst")
+    assert sorted(tuple(r) for r in ctx.index_edges.select(*cols).collect()) == want_rows
